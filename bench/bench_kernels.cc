@@ -1,5 +1,5 @@
 // Kernel-level microbenchmarks for the numeric hot path (google-benchmark;
-// rows append to the $OPENAPI_PERF_CSV trajectory artifact in CI):
+// CI keeps the rows via --benchmark_out=BENCH_kernels.json):
 //
 //   * GemmABt{Simd,Reference}        — the register-blocked A·Bᵀ kernel at
 //     solver probe-batch shapes ((d+1) x d times 2d x d, the first layer
@@ -32,7 +32,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "bench_perf_csv.h"
 
 namespace openapi::bench {
 namespace {
@@ -281,7 +280,4 @@ BENCHMARK(InterpretEndToEndPrePr);
 }  // namespace
 }  // namespace openapi::bench
 
-int main(int argc, char** argv) {
-  return openapi::bench::RunBenchmarksWithPerfCsv(argc, argv,
-                                                  /*append=*/true);
-}
+BENCHMARK_MAIN();

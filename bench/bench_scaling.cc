@@ -28,7 +28,6 @@
 
 #include "api/fault_injecting_api.h"
 #include "bench_common.h"
-#include "bench_perf_csv.h"
 #include "linalg/qr.h"
 #include "store/region_store.h"
 #include "util/check.h"
@@ -306,20 +305,21 @@ BENCHMARK(RetryOverhead)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// --- Region-cache candidate scan: bucketed (argmax + transpose
-// --- promotion) pruning vs the plain linear scan, at growing cache sizes.
+// --- Region-cache candidate lookup (region index stab + validation) at
+// --- growing cache sizes.
 //
 // Point location across MANY regions with DIVERSE predicted classes is
-// the workload this pruning targets, so the endpoint here is a grid
-// model: [0,1]^2 x R^(d-2) split into k x k cells, each its own locally
-// linear region whose dominant class cycles through all C classes. (A
+// the workload the index's per-class forests target, so the endpoint here
+// is a grid model: [0,1]^2 x R^(d-2) split into k x k cells, each its own
+// locally linear region whose dominant class cycles through all C
+// classes. (A
 // randomly initialized PLNN is useless for this bench: its argmax is one
 // class over essentially the whole cube, collapsing every region into a
-// single bucket.) The cache is warmed with one extraction per cell, then
+// single forest.) The cache is warmed with one extraction per cell, then
 // the measured loop looks up never-seen-before points inside cached
 // cells: the point memo misses (fresh raw bits), the candidate scan runs,
-// and a cached model validates — the 2-query hit path whose scan cost the
-// buckets prune.
+// and a cached model validates — the 2-query hit path whose lookup cost
+// the index bounds.
 
 class GridPlm : public api::Plm {
  public:
@@ -336,7 +336,7 @@ class GridPlm : public api::Plm {
       }
       model.bias = rng->UniformVector(num_classes, -0.5, 0.5);
       // Cell's dominant class cycles through all C classes -> balanced
-      // argmax buckets.
+      // per-class forests.
       model.bias[cell % num_classes] += 4.0;
       cells_.push_back(std::move(model));
     }
@@ -377,7 +377,7 @@ class GridPlm : public api::Plm {
   std::vector<api::LocalLinearModel> cells_;
 };
 
-void CandidateScan(benchmark::State& state, bool bucketed, bool indexed) {
+void CandidateScanIndexed(benchmark::State& state) {
   const size_t target_regions = static_cast<size_t>(state.range(0));
   const size_t k = static_cast<size_t>(
       std::llround(std::sqrt(static_cast<double>(target_regions))));
@@ -386,9 +386,7 @@ void CandidateScan(benchmark::State& state, bool bucketed, bool indexed) {
   GridPlm grid(d, c, k, &model_rng);
   api::PredictionApi api(&grid);
   interpret::EngineConfig config;
-  config.num_threads = 1;  // measure the scan, not the pool
-  config.bucket_candidates = bucketed;
-  config.use_region_index = indexed;
+  config.num_threads = 1;  // measure the lookup, not the pool
   interpret::InterpretationEngine engine(config);
   auto session = engine.OpenSession(api);
   std::vector<Vec> anchors;
@@ -396,7 +394,7 @@ void CandidateScan(benchmark::State& state, bool bucketed, bool indexed) {
     for (size_t j = 0; j < k; ++j) {
       Vec x0 = grid.CellCenter(i, j);
       auto warmed =
-          session->Interpret({x0, 0}, /*seed=*/13, anchors.size());
+          session->Interpret({x0, 0, {}}, /*seed=*/13, anchors.size());
       if (warmed.result.ok()) anchors.push_back(std::move(x0));
     }
   }
@@ -409,7 +407,7 @@ void CandidateScan(benchmark::State& state, bool bucketed, bool indexed) {
     const size_t a = next++ % anchors.size();
     Vec x0 = anchors[a];
     x0[0] += 1e-13 * static_cast<double>(++salt[a]);
-    auto response = session->Interpret({x0, 0}, /*seed=*/13,
+    auto response = session->Interpret({x0, 0, {}}, /*seed=*/13,
                                        /*stream=*/1'000'000 + next);
     benchmark::DoNotOptimize(response);
   }
@@ -420,17 +418,6 @@ void CandidateScan(benchmark::State& state, bool bucketed, bool indexed) {
       static_cast<double>(session->stats().cache_hits);
 }
 
-void CandidateScanLinear(benchmark::State& state) {
-  CandidateScan(state, /*bucketed=*/false, /*indexed=*/false);
-}
-void CandidateScanBucketed(benchmark::State& state) {
-  CandidateScan(state, /*bucketed=*/true, /*indexed=*/false);
-}
-void CandidateScanIndexed(benchmark::State& state) {
-  CandidateScan(state, /*bucketed=*/true, /*indexed=*/true);
-}
-BENCHMARK(CandidateScanLinear)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(CandidateScanBucketed)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(CandidateScanIndexed)->Arg(64)->Arg(256)->Arg(1024);
 
 // Production-scale lookup sweep: 10^3..10^6 cached regions, cache filled
@@ -439,9 +426,8 @@ BENCHMARK(CandidateScanIndexed)->Arg(64)->Arg(256)->Arg(1024);
 // tiered store reloads a cache of this size anyway). Every measured
 // request is a never-seen point inside an already-cached region: a
 // point-memo miss that the candidate lookup must resolve (a 2-query
-// validated hit). The linear leg scans every cached model per lookup;
-// the indexed leg stabs the learned boxes, so its latency stays flat as
-// the cache grows three orders of magnitude.
+// validated hit). The index stabs the learned boxes, so the latency stays
+// flat as the cache grows three orders of magnitude.
 // The `hot_set` legs cycle the measured traffic over a fixed
 // 1024-anchor working set instead of all n anchors — the SAME traffic
 // shape at every cache size (the 10^3 cache IS 1024 anchors), so the
@@ -455,8 +441,7 @@ BENCHMARK(CandidateScanIndexed)->Arg(64)->Arg(256)->Arg(1024);
 // adversarial worst case. Give the hot legs enough --benchmark_min_time
 // to make several passes over the working set, or they measure the
 // first cold pass.
-void CandidateScanAtScale(benchmark::State& state, bool indexed,
-                          bool hot_set) {
+void CandidateScanAtScale(benchmark::State& state, bool hot_set) {
   const size_t target_regions = static_cast<size_t>(state.range(0));
   const size_t k = static_cast<size_t>(
       std::llround(std::sqrt(static_cast<double>(target_regions))));
@@ -465,9 +450,7 @@ void CandidateScanAtScale(benchmark::State& state, bool indexed,
   GridPlm grid(d, c, k, &model_rng);
   api::PredictionApi api(&grid);
   interpret::EngineConfig config;
-  config.num_threads = 1;       // measure the lookup, not the pool
-  config.bucket_candidates = false;  // reference leg = pure linear scan
-  config.use_region_index = indexed;
+  config.num_threads = 1;  // measure the lookup, not the pool
   interpret::InterpretationEngine engine(config);
   auto session = engine.OpenSession(api);
   for (size_t i = 0; i < k; ++i) {
@@ -483,9 +466,8 @@ void CandidateScanAtScale(benchmark::State& state, bool indexed,
   // iteration, same cell, still inside the imported certificate box.
   // The visited cell index is scattered by a multiplicative hash (odd
   // constant, coprime with every k*k here, so it is a full-period
-  // permutation): visiting anchors in import order would correlate the
-  // target with the front of the slot array and let the linear scan
-  // early-exit after ~iteration-count models instead of the honest n/2.
+  // permutation), so traffic does not walk the slot array in import
+  // order.
   const size_t span = hot_set ? std::min<size_t>(1024, k * k) : k * k;
   uint64_t next = 0;
   uint64_t salt = 0;
@@ -495,7 +477,7 @@ void CandidateScanAtScale(benchmark::State& state, bool indexed,
     ++next;
     Vec x0 = grid.CellCenter(a / k, a % k);
     x0[2] += 1e-13 * static_cast<double>(++salt);
-    auto response = session->Interpret({x0, 0}, /*seed=*/13,
+    auto response = session->Interpret({x0, 0, {}}, /*seed=*/13,
                                        /*stream=*/1'000'000 + next);
     benchmark::DoNotOptimize(response);
   }
@@ -506,20 +488,12 @@ void CandidateScanAtScale(benchmark::State& state, bool indexed,
       static_cast<double>(session->stats().cache_hits);
 }
 
-void CandidateScanAtScaleLinear(benchmark::State& state) {
-  CandidateScanAtScale(state, /*indexed=*/false, /*hot_set=*/false);
-}
 void CandidateScanAtScaleIndexed(benchmark::State& state) {
-  CandidateScanAtScale(state, /*indexed=*/true, /*hot_set=*/false);
+  CandidateScanAtScale(state, /*hot_set=*/false);
 }
 void CandidateScanAtScaleIndexedHot(benchmark::State& state) {
-  CandidateScanAtScale(state, /*indexed=*/true, /*hot_set=*/true);
+  CandidateScanAtScale(state, /*hot_set=*/true);
 }
-BENCHMARK(CandidateScanAtScaleLinear)
-    ->Unit(benchmark::kMicrosecond)
-    ->Arg(1'000)
-    ->Arg(10'000)
-    ->Arg(100'000);
 BENCHMARK(CandidateScanAtScaleIndexed)
     ->Unit(benchmark::kMicrosecond)
     ->Arg(1'000)
@@ -666,9 +640,4 @@ BENCHMARK(StoreLogReload)
 }  // namespace
 }  // namespace openapi::bench
 
-// Perf-trajectory CSV artifact: bench_scaling CREATES $OPENAPI_PERF_CSV
-// (bench_kernels appends to it); see bench_perf_csv.h.
-int main(int argc, char** argv) {
-  return openapi::bench::RunBenchmarksWithPerfCsv(argc, argv,
-                                                  /*append=*/false);
-}
+BENCHMARK_MAIN();

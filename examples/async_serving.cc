@@ -18,28 +18,6 @@
 using namespace openapi;  // NOLINT: example brevity
 using linalg::Vec;
 
-namespace {
-
-const char* OutcomeName(interpret::CacheOutcome outcome) {
-  switch (outcome) {
-    case interpret::CacheOutcome::kBypass:
-      return "bypass";
-    case interpret::CacheOutcome::kPointMemo:
-      return "point-memo";
-    case interpret::CacheOutcome::kMemoryHit:
-      return "memory-hit";
-    case interpret::CacheOutcome::kDiskHit:
-      return "disk-hit";
-    case interpret::CacheOutcome::kMiss:
-      return "miss";
-    case interpret::CacheOutcome::kEvictedRefetch:
-      return "evicted-refetch";
-  }
-  return "?";
-}
-
-}  // namespace
-
 int main() {
   // --- Provider side: a production model on 4 replicas + a canary. ---
   util::Rng rng(42);
@@ -74,7 +52,7 @@ int main() {
   if (single.result.ok()) {
     std::cout << "async single request: class " << c << ", "
               << single.queries << "/500 queries ("
-              << OutcomeName(single.cache_outcome) << ", "
+              << interpret::CacheOutcomeName(single.cache_outcome) << ", "
               << single.shrink_iterations << " shrink iters, "
               << util::FormatDouble(single.latency_ms, 2)
               << " ms), top |D_c| = "

@@ -1,55 +1,13 @@
 #include "api/api_replica_set.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "util/check.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace openapi::api {
-
-void TwoPointLatency::Record(size_t rows, double seconds, double alpha) {
-  if (rows == 0) return;
-  OPENAPI_CHECK(alpha > 0.0 && alpha <= 1.0);
-  const double r = static_cast<double>(rows);
-  // Same tiny positive floor as LatencyEstimate: a sub-resolution timer
-  // reading must not zero the model.
-  const double secs = std::max(seconds, 1e-12);
-  // CAS-fold a delta into one atomic component (every correction lands
-  // exactly once, in some serialization order).
-  auto fold = [](std::atomic<double>& v, double delta) {
-    double cur = v.load(std::memory_order_relaxed);
-    while (!v.compare_exchange_weak(cur, cur + delta,
-                                    std::memory_order_relaxed)) {
-    }
-  };
-  if (samples_.fetch_add(1, std::memory_order_relaxed) == 0) {
-    // Seed: attribute the first observation entirely per-row, matching
-    // the scalar EWMA's cold start; the per-call share emerges as later
-    // observations at different row counts correct the split.
-    fold(per_row_, secs / r);
-    return;
-  }
-  const double a = per_call_.load(std::memory_order_relaxed);
-  const double b = per_row_.load(std::memory_order_relaxed);
-  const double err = secs - (a + b * r);
-  // Normalized LMS over features (1, rows): the step is scaled by the
-  // feature norm, so one wild observation cannot blow the model up no
-  // matter how large the shard was.
-  const double denom = 1.0 + r * r;
-  fold(per_call_, alpha * err / denom);
-  fold(per_row_, alpha * err * r / denom);
-}
-
-double TwoPointLatency::Estimate(size_t rows) const {
-  const double est =
-      per_call_.load(std::memory_order_relaxed) +
-      per_row_.load(std::memory_order_relaxed) * static_cast<double>(rows);
-  return std::max(est, 0.0);
-}
 
 ApiReplicaSet::ApiReplicaSet(const Plm* model, size_t num_replicas,
                              int round_digits, double noise_stddev,
@@ -87,8 +45,7 @@ void ApiReplicaSet::CheckReplicaShapes() const {
   }
 }
 
-std::vector<size_t> ApiReplicaSet::RoutableReplicas(
-    uint64_t tick, size_t shard_rows, bool apply_latency) const {
+std::vector<size_t> ApiReplicaSet::RoutableReplicas(uint64_t tick) const {
   std::vector<size_t> routable;
   routable.reserve(replicas_.size());
   for (size_t i = 0; i < replicas_.size(); ++i) {
@@ -98,30 +55,8 @@ std::vector<size_t> ApiReplicaSet::RoutableReplicas(
     // Every breaker open: refusing to route at all would turn the
     // breaker into an outage, so the whole fleet becomes half-open.
     for (size_t i = 0; i < replicas_.size(); ++i) routable.push_back(i);
-    return routable;
   }
-  if (!apply_latency || routable.size() < 2) return routable;
-  double fastest = std::numeric_limits<double>::infinity();
-  bool sampled = false;
-  for (size_t i : routable) {
-    if (state_[i]->latency.samples() == 0) continue;
-    fastest = std::min(fastest, state_[i]->latency.Estimate(shard_rows));
-    sampled = true;
-  }
-  if (!sampled) return routable;
-  std::vector<size_t> fast;
-  fast.reserve(routable.size());
-  for (size_t i : routable) {
-    // Unsampled replicas stay routable (the router must not starve a
-    // replica it has never timed); the fastest sampled one always
-    // qualifies, so `fast` is never empty.
-    if (state_[i]->latency.samples() == 0 ||
-        state_[i]->latency.Estimate(shard_rows) <=
-            route_.slow_factor * fastest) {
-      fast.push_back(i);
-    }
-  }
-  return fast;
+  return routable;
 }
 
 void ApiReplicaSet::RecordOutcome(size_t i, bool ok, uint64_t tick) const {
@@ -150,8 +85,7 @@ Vec ApiReplicaSet::Predict(const Vec& x) const {
   const uint64_t tick = health_tick_.load(std::memory_order_relaxed);
   // With nothing quarantined the routable list is every replica, so this
   // is bit-for-bit the historical round robin.
-  const std::vector<size_t> routable =
-      RoutableReplicas(tick, 1, /*apply_latency=*/false);
+  const std::vector<size_t> routable = RoutableReplicas(tick);
   return replicas_[routable[ticket % routable.size()]]->Predict(x);
 }
 
@@ -168,8 +102,7 @@ Result<std::vector<Vec>> ApiReplicaSet::TryPredictBatch(
       std::min(replicas_.size(), xs.size()),
       (xs.size() + kTargetShardRows - 1) / kTargetShardRows);
   const size_t block = (xs.size() + num_shards - 1) / num_shards;
-  const std::vector<size_t> preferred =
-      RoutableReplicas(tick, block, route_.route_by_latency);
+  const std::vector<size_t> preferred = RoutableReplicas(tick);
 
   // Claim every shard's query-count slots and noise tickets up front, in
   // shard order, on this thread: shard -> replica routing AND each
@@ -209,14 +142,10 @@ Result<std::vector<Vec>> ApiReplicaSet::TryPredictBatch(
     std::vector<char> tried(replicas_.size(), 0);
     for (;;) {
       tried[replica] = 1;
-      util::Timer shard_timer;
       Result<std::vector<Vec>> ys =
           replicas_[replica]->TryPredictBatchReserved(rows, first_ticket);
       const uint64_t now = health_tick_.load(std::memory_order_relaxed);
       if (ys.ok()) {
-        state_[replica]->latency.Record(rows.size(),
-                                        shard_timer.ElapsedSeconds(),
-                                        route_.latency_alpha);
         RecordOutcome(replica, /*ok=*/true, now);
         for (size_t i = 0; i < ys->size(); ++i) {
           out[shard.begin + i] = std::move((*ys)[i]);
@@ -229,8 +158,7 @@ Result<std::vector<Vec>> ApiReplicaSet::TryPredictBatch(
       // one was tried, any untried replica at all (a quarantined replica
       // beats giving up). A fresh reservation keeps that replica's
       // ticket stream exact.
-      const std::vector<size_t> routable = RoutableReplicas(
-          now, rows.size(), route_.route_by_latency);
+      const std::vector<size_t> routable = RoutableReplicas(now);
       size_t next = replicas_.size();
       for (size_t step = 1; step < replicas_.size() + 1; ++step) {
         const size_t cand = (replica + step) % replicas_.size();
@@ -325,11 +253,6 @@ uint64_t ApiReplicaSet::replica_failures(size_t i) const {
 uint64_t ApiReplicaSet::replica_successes(size_t i) const {
   OPENAPI_CHECK_LT(i, replicas_.size());
   return state_[i]->successes.load(std::memory_order_relaxed);
-}
-
-const TwoPointLatency& ApiReplicaSet::replica_latency(size_t i) const {
-  OPENAPI_CHECK_LT(i, replicas_.size());
-  return state_[i]->latency;
 }
 
 }  // namespace openapi::api

@@ -17,17 +17,17 @@
 //   * TryPredictBatch — TWO-LEVEL contiguous split: the batch becomes
 //     ceil(batch / kTargetShardRows) shards (never fewer than one per
 //     replica while rows last), shard s served by preferred[s % P] where
-//     `preferred` is the healthy (and, when latency routing is on,
-//     not-slow) replica list — the full replica list whenever nothing is
-//     quarantined, so the fault-free shard shapes and noise tickets are
-//     EXACTLY the pre-fault-tolerance ones. Before any shard runs, the
-//     caller reserves each shard's query-count slots and noise tickets
-//     IN SHARD ORDER (PredictionApi::ReserveBatch), so a given batch
-//     always lands on the same replicas with the same per-replica noise
-//     tickets regardless of dispatch timing. Large batches dispatch their
-//     shards on the process-wide util::SharedThreadPool — with a
-//     deadlock-free story: a caller that IS a shared-pool worker runs its
-//     shards inline, so pool workers never wait on the queue.
+//     `preferred` is the healthy replica list — the full replica list
+//     whenever nothing is quarantined, so the fault-free shard shapes
+//     and noise tickets are EXACTLY the pre-fault-tolerance ones. Before
+//     any shard runs, the caller reserves each shard's query-count slots
+//     and noise tickets IN SHARD ORDER (PredictionApi::ReserveBatch), so
+//     a given batch always lands on the same replicas with the same
+//     per-replica noise tickets regardless of dispatch timing. Large
+//     batches dispatch their shards on the process-wide
+//     util::SharedThreadPool — with a deadlock-free story: a caller that
+//     IS a shared-pool worker runs its shards inline, so pool workers
+//     never wait on the queue.
 //
 // Failure handling per shard: a refused TryPredictBatchReserved records a
 // failure against its replica (consecutive failures trip the breaker —
@@ -46,12 +46,8 @@
 // `rows_consumed`, so callers' books always match the counters even when
 // the call ultimately fails.
 //
-// Latency: the set inherits PredictionApi::row_latency() (the set-level
-// EWMA external dispatchers plan chunks with) and ADDS per-replica
-// two-point estimates (fixed per-call + per-row seconds, folded from each
-// shard the set times) so the router can drop replicas whose estimated
-// shard cost exceeds `slow_factor` x the fastest — the latency-aware
-// routing leg of ROADMAP item 3.
+// Latency: the set inherits PredictionApi::row_latency(), the set-level
+// EWMA that chunked probe dispatch plans against.
 
 #ifndef OPENAPI_API_API_REPLICA_SET_H_
 #define OPENAPI_API_API_REPLICA_SET_H_
@@ -65,50 +61,6 @@
 
 namespace openapi::api {
 
-/// Lock-free per-replica two-point latency model: seconds(rows) ~
-/// per_call + per_row * rows, folded online by normalized LMS from the
-/// (rows, seconds) observations the set times around each shard. Same
-/// advisory contract as LatencyEstimate: each component is updated by a
-/// CAS loop (no torn or lost folds per component), cross-component
-/// consistency is best-effort, and every consumer treats the numbers as
-/// planning hints re-checked against real clocks downstream.
-class TwoPointLatency {
- public:
-  /// Folds one observation: a shard of `rows` rows took `seconds`.
-  /// `alpha` in (0, 1] weights the correction. The first observation
-  /// seeds the per-row component directly (per-call 0), matching the
-  /// one-scalar EWMA's cold behavior.
-  void Record(size_t rows, double seconds, double alpha);
-
-  double per_call_seconds() const {
-    return per_call_.load(std::memory_order_relaxed);
-  }
-  double per_row_seconds() const {
-    return per_row_.load(std::memory_order_relaxed);
-  }
-
-  /// Estimated seconds for a shard of `rows` rows (>= 0; clamped).
-  double Estimate(size_t rows) const;
-
-  uint64_t samples() const {
-    return samples_.load(std::memory_order_relaxed);
-  }
-
-  /// Forgets everything; same modification-order argument as
-  /// LatencyEstimate::Reset (exchange RMWs, concurrent Records either
-  /// die with the reset or re-seed after it).
-  void Reset() {
-    per_call_.exchange(0.0, std::memory_order_acq_rel);
-    per_row_.exchange(0.0, std::memory_order_acq_rel);
-    samples_.exchange(0, std::memory_order_acq_rel);
-  }
-
- private:
-  std::atomic<double> per_call_{0.0};
-  std::atomic<double> per_row_{0.0};
-  std::atomic<uint64_t> samples_{0};
-};
-
 /// Breaker / routing knobs for a replica set.
 struct ReplicaRouteConfig {
   /// Consecutive shard failures that open a replica's breaker.
@@ -117,15 +69,6 @@ struct ReplicaRouteConfig {
   /// half-open (routable again; one more failure re-opens it, one
   /// success closes it).
   uint64_t quarantine_calls = 16;
-  /// EWMA weight for the per-replica two-point latency folds.
-  double latency_alpha = 0.25;
-  /// When true, replicas whose estimated shard latency exceeds
-  /// slow_factor x the fastest sampled replica are dropped from primary
-  /// routing (they remain re-dispatch fallbacks). Off by default: it
-  /// re-routes shards, which changes noise-ticket assignment, so callers
-  /// opt in.
-  bool route_by_latency = false;
-  double slow_factor = 4.0;
 };
 
 class ApiReplicaSet : public PredictionApi {
@@ -169,7 +112,6 @@ class ApiReplicaSet : public PredictionApi {
   bool replica_quarantined(size_t i) const;
   uint64_t replica_failures(size_t i) const;
   uint64_t replica_successes(size_t i) const;
-  const TwoPointLatency& replica_latency(size_t i) const;
 
   /// Shards whose rows were re-dispatched to a fallback replica after a
   /// refusal (one count per fallback attempt).
@@ -190,7 +132,6 @@ class ApiReplicaSet : public PredictionApi {
     std::atomic<uint64_t> open_until{0};
     std::atomic<uint64_t> failures{0};
     std::atomic<uint64_t> successes{0};
-    TwoPointLatency latency;
   };
 
   /// Batches smaller than this are served by a sequential shard loop; the
@@ -211,11 +152,8 @@ class ApiReplicaSet : public PredictionApi {
 
   /// Routable (non-quarantined) replicas at `tick`, in index order;
   /// falls back to EVERY replica when all breakers are open (refusing to
-  /// route at all would turn a breaker bug into an outage). With latency
-  /// routing on, sampled replicas slower than slow_factor x the fastest
-  /// are additionally dropped while >= 2 would remain.
-  std::vector<size_t> RoutableReplicas(uint64_t tick, size_t shard_rows,
-                                       bool apply_latency) const;
+  /// route at all would turn a breaker bug into an outage).
+  std::vector<size_t> RoutableReplicas(uint64_t tick) const;
 
   /// Success closes the breaker (streak := 0); failure bumps the streak
   /// and, at the threshold, opens the breaker for quarantine_calls ticks.
@@ -224,7 +162,7 @@ class ApiReplicaSet : public PredictionApi {
   /// Immutable after construction (built in the ctor, never resized):
   /// read lock-free by every routing path.
   std::vector<std::unique_ptr<PredictionApi>> replicas_;
-  /// One breaker + latency model per replica; unique_ptr because atomics
+  /// One breaker per replica; unique_ptr because atomics
   /// are immovable. Same lifetime/immutability as replicas_.
   std::vector<std::unique_ptr<ReplicaState>> state_;
   ReplicaRouteConfig route_;

@@ -43,7 +43,44 @@ std::vector<CoreParameters> PairsFromModel(const api::LocalLinearModel& model,
   return pairs;
 }
 
+/// The answer a cache hit serves for class c, read off the cached model.
+/// A hit validated by the 2-query pair carries its probe; a plain
+/// point-memo hit (probe == nullptr) cost nothing.
+Interpretation CachedAnswer(const api::LocalLinearModel& model, size_t c,
+                            Vec* probe, double validation_edge) {
+  Interpretation out;
+  out.dc = api::GroundTruthDecisionFeatures(model, c);
+  out.pairs = PairsFromModel(model, c);
+  out.iterations = 0;
+  if (probe != nullptr) {
+    out.edge_length = validation_edge;
+    out.probes.push_back(std::move(*probe));
+    out.queries = 2;
+  }
+  return out;
+}
+
 }  // namespace
+
+const char* CacheOutcomeName(CacheOutcome outcome) {
+  switch (outcome) {
+    case CacheOutcome::kBypass:
+      return "bypass";
+    case CacheOutcome::kPointMemo:
+      return "point-memo";
+    case CacheOutcome::kMemoryHit:
+      return "memory-hit";
+    case CacheOutcome::kDiskHit:
+      return "disk-hit";
+    case CacheOutcome::kMiss:
+      return "miss";
+    case CacheOutcome::kEvictedRefetch:
+      return "evicted-refetch";
+    case CacheOutcome::kStaleRefetch:
+      return "stale-refetch";
+  }
+  return "unknown";
+}
 
 // GCC 12 reports spurious -Wmaybe-uninitialized when a variant-backed
 // Result moves out of the deque into the returned optional (the
@@ -83,7 +120,8 @@ EndpointSession::EndpointSession(const InterpretationEngine* engine,
       api_(api),
       capacity_(capacity),
       byte_budget_(byte_budget),
-      store_(store) {
+      store_(store),
+      index_(api->dim()) {
   if (store_ != nullptr) {
     // A shape-mismatched store would deserialize garbage models that
     // then fail validation on every reload — catch it at open time.
@@ -92,10 +130,6 @@ EndpointSession::EndpointSession(const InterpretationEngine* engine,
     // Resume drift tracking where the log left off: regions persisted at
     // older epochs stay invalidated across a restart.
     epoch_.store(store_->current_epoch(), std::memory_order_relaxed);
-  }
-  if (engine_->config().use_region_cache &&
-      engine_->config().use_region_index) {
-    index_ = std::make_unique<RegionIndex>(api_->dim());
   }
 }
 
@@ -192,7 +226,7 @@ size_t EndpointSession::OccupiedLocked() const {
 }
 
 void EndpointSession::RefreshIndexBytesLocked() const {
-  const uint64_t now = index_ != nullptr ? index_->memory_bytes() : 0;
+  const uint64_t now = index_.memory_bytes();
   const uint64_t before = stats_.index_bytes.load(std::memory_order_relaxed);
   if (now != before) {
     BumpGauge(&StatCounters::index_bytes,
@@ -251,94 +285,47 @@ size_t EndpointSession::FindMatchingRegion(const Vec& x0, const Vec& y0,
   // epoch should never be visible here; the skip is belt-and-braces so a
   // stale closed form cannot serve even mid-invalidation.
   const uint64_t current_epoch = epoch_.load(std::memory_order_relaxed);
-  if (index_ != nullptr) {
-    // Point location: stab the learned boxes and validate each candidate
-    // with the exact predicate. Boxes only cover what traffic has
-    // certified, so they can admit a false candidate (validation rejects
-    // it) but a validated candidate is always a hit the linear scan would
-    // also have found. The argmax(y0) forest is stabbed AND validated
-    // first: in the common case the query predicts its region's own
-    // class, so the steady-state hit never pays for the other C-1
-    // forests. Validation is exact either way, so phase order only moves
-    // work, never the outcome.
-    std::vector<size_t> candidates;
-    index_->CollectBucket(x0, argmax, &candidates);
-    for (size_t slot : candidates) {
-      if (regions_[slot].epoch < current_epoch) continue;
-      if (RegionMatches(regions_[slot].model, x0, y0) &&
-          RegionMatches(regions_[slot].model, probe, y_probe)) {
-        return slot;
-      }
-    }
-    const size_t first_phase = candidates.size();
-    index_->CollectRest(x0, argmax, &candidates);
-    for (size_t i = first_phase; i < candidates.size(); ++i) {
-      const size_t slot = candidates[i];
-      if (regions_[slot].epoch < current_epoch) continue;
-      if (RegionMatches(regions_[slot].model, x0, y0) &&
-          RegionMatches(regions_[slot].model, probe, y_probe)) {
-        return slot;
-      }
-    }
-    // No candidate survived. A learned box UNDER-covers its region until
-    // traffic teaches it, so this is not yet a miss: scan the remaining
-    // regions exactly like the reference leg (skipping the candidates
-    // already rejected above). A match found here is a first visit to an
-    // uncovered part of a cached region — the hit path then grows its
-    // box, so the next nearby request resolves in the stab above. This
-    // fallback is what makes the index decision-invisible; a true miss
-    // pays it once and then pays the extraction that dwarfs it.
-    std::sort(candidates.begin(), candidates.end());
-    for (size_t slot = 0; slot < regions_.size(); ++slot) {
-      if (!regions_[slot].occupied ||
-          regions_[slot].epoch < current_epoch ||
-          std::binary_search(candidates.begin(), candidates.end(), slot)) {
-        continue;
-      }
-      if (RegionMatches(regions_[slot].model, x0, y0) &&
-          RegionMatches(regions_[slot].model, probe, y_probe)) {
-        return slot;
-      }
-    }
-    return kNoSlot;
-  }
-  if (!engine_->config().bucket_candidates) {
-    for (size_t slot = 0; slot < regions_.size(); ++slot) {
-      if (!regions_[slot].occupied ||
-          regions_[slot].epoch < current_epoch) {
-        continue;
-      }
-      if (RegionMatches(regions_[slot].model, x0, y0) &&
-          RegionMatches(regions_[slot].model, probe, y_probe)) {
-        return slot;
-      }
-    }
-    return kNoSlot;
-  }
-
-  // Bucket pass: regions anchored at the same predicted class, hottest
-  // first. In the common case (the request lands in an already-seen
-  // region on its majority side) this tests ~1/C of the cache. Buckets
-  // are kept approximately hit-ordered by the move-toward-front
-  // promotion in the hit path, so no per-scan sorting happens here.
-  std::vector<char> scanned(regions_.size(), 0);
-  auto it = by_argmax_.find(argmax);
-  if (it != by_argmax_.end()) {
-    for (size_t slot : it->second) {
-      scanned[slot] = 1;
-      if (regions_[slot].epoch < current_epoch) continue;
-      if (RegionMatches(regions_[slot].model, x0, y0) &&
-          RegionMatches(regions_[slot].model, probe, y_probe)) {
-        return slot;
-      }
+  // Point location: stab the learned boxes and validate each candidate
+  // with the exact predicate. Boxes only cover what traffic has
+  // certified, so they can admit a false candidate (validation rejects
+  // it) but a validated candidate is always a hit the linear scan would
+  // also have found. The argmax(y0) forest is stabbed AND validated
+  // first: in the common case the query predicts its region's own
+  // class, so the steady-state hit never pays for the other C-1
+  // forests. Validation is exact either way, so phase order only moves
+  // work, never the outcome.
+  std::vector<size_t> candidates;
+  index_.CollectBucket(x0, argmax, &candidates);
+  for (size_t slot : candidates) {
+    if (regions_[slot].epoch < current_epoch) continue;
+    if (RegionMatches(regions_[slot].model, x0, y0) &&
+        RegionMatches(regions_[slot].model, probe, y_probe)) {
+      return slot;
     }
   }
-  // Fallback pass: regions filed only under other argmax keys. A cached
-  // region can span the decision boundary, so the bucket key is a
-  // heuristic; this pass keeps hit behavior identical to the linear scan.
+  const size_t first_phase = candidates.size();
+  index_.CollectRest(x0, argmax, &candidates);
+  for (size_t i = first_phase; i < candidates.size(); ++i) {
+    const size_t slot = candidates[i];
+    if (regions_[slot].epoch < current_epoch) continue;
+    if (RegionMatches(regions_[slot].model, x0, y0) &&
+        RegionMatches(regions_[slot].model, probe, y_probe)) {
+      return slot;
+    }
+  }
+  // No candidate survived. A learned box UNDER-covers its region until
+  // traffic teaches it, so this is not yet a miss: scan the remaining
+  // regions exactly like a linear scan would (skipping the candidates
+  // already rejected above). A match found here is a first visit to an
+  // uncovered part of a cached region — the hit path then grows its
+  // box, so the next nearby request resolves in the stab above. This
+  // fallback is what makes the index decision-invisible; a true miss
+  // pays it once and then pays the extraction that dwarfs it.
+  std::sort(candidates.begin(), candidates.end());
   for (size_t slot = 0; slot < regions_.size(); ++slot) {
-    if (scanned[slot] || !regions_[slot].occupied ||
-        regions_[slot].epoch < current_epoch) {
+    if (!regions_[slot].occupied ||
+        regions_[slot].epoch < current_epoch ||
+        std::binary_search(candidates.begin(), candidates.end(), slot)) {
       continue;
     }
     if (RegionMatches(regions_[slot].model, x0, y0) &&
@@ -365,21 +352,11 @@ void EndpointSession::DropRegionAuxLocked(size_t slot) const {
   BumpGauge(&StatCounters::memo_bytes,
             -static_cast<int64_t>(victim.points.size() * kMemoListEntryBytes));
   victim.points.clear();
-  for (size_t bucket_key : victim.bucket_keys) {
-    auto bucket = by_argmax_.find(bucket_key);
-    if (bucket != by_argmax_.end()) {
-      auto& slots = bucket->second;
-      slots.erase(std::remove(slots.begin(), slots.end(), slot),
-                  slots.end());
-    }
-  }
-  victim.bucket_keys.clear();
-  if (index_ != nullptr) index_->Remove(slot);
+  index_.Remove(slot);
 }
 
 void EndpointSession::CheckAuxCoherenceLocked() const {
-  if (index_ == nullptr) return;
-  OPENAPI_CHECK_EQ(index_->size(), OccupiedLocked());
+  OPENAPI_CHECK_EQ(index_.size(), OccupiedLocked());
 }
 
 size_t EndpointSession::EvictOneLocked(
@@ -410,17 +387,11 @@ size_t EndpointSession::EvictOneLocked(
   // write-through persisted, and the store's Put re-appends only when
   // the box actually grew. The record is staged; the caller persists it
   // after releasing the cache lock (the store has its own mutex).
-  if (store_ != nullptr && spills != nullptr && index_ != nullptr) {
+  if (store_ != nullptr && spills != nullptr) {
     store::RegionRecord record;
-    if (index_->ExportBox(slot, &record.lo, &record.hi)) {
+    if (index_.ExportBox(slot, &record.lo, &record.hi)) {
       record.fingerprint = victim_fingerprint;
-      // The insertion-time argmax is the front of the bucket-key list
-      // (FileBucketLocked appends, eviction clears).
-      record.argmax = victim.bucket_keys.empty()
-                          ? static_cast<uint32_t>(linalg::ArgMax(
-                                api::EvaluateLocalModel(victim.model,
-                                                        victim.anchor)))
-                          : static_cast<uint32_t>(victim.bucket_keys.front());
+      record.argmax = static_cast<uint32_t>(victim.argmax);
       record.anchor = victim.anchor;
       record.model = victim.model;
       spills->push_back(std::move(record));
@@ -429,7 +400,7 @@ size_t EndpointSession::EvictOneLocked(
   BumpGauge(&StatCounters::region_bytes,
             -static_cast<int64_t>(SlotBytes(victim)));
   // One step removes the victim from every auxiliary structure
-  // (fingerprint map, memo, buckets, index) — there is no code path that
+  // (fingerprint map, memo, index) — there is no code path that
   // can leave one of them holding the dead slot.
   DropRegionAuxLocked(slot);
   // Release the payload: the byte gauge just gave these bytes back, so
@@ -475,22 +446,6 @@ void EndpointSession::FilePointLocked(const PointKey& key,
             static_cast<int64_t>(kMemoListEntryBytes));
 }
 
-void EndpointSession::FileBucketLocked(size_t slot, size_t argmax) const {
-  // Membership test via the slot's own key list (one entry per filed
-  // bucket, so a handful at most): slot ∈ by_argmax_[b] iff b ∈
-  // bucket_keys — both are only ever mutated together, here and in
-  // DropRegionAuxLocked. Scanning the bucket vector instead would be
-  // O(n/C) per fill, quadratic across a large import.
-  std::vector<size_t>& keys = regions_[slot].bucket_keys;
-  if (std::find(keys.begin(), keys.end(), argmax) == keys.end()) {
-    by_argmax_[argmax].push_back(slot);
-    keys.push_back(argmax);
-    if (index_ != nullptr && index_->contains(slot)) {
-      index_->File(slot, argmax);
-    }
-  }
-}
-
 size_t EndpointSession::InsertRegion(
     api::LocalLinearModel model, uint64_t fingerprint, const Vec& anchor,
     const Vec& memo_point, size_t argmax, const Vec& lo, const Vec& hi,
@@ -500,11 +455,9 @@ size_t EndpointSession::InsertRegion(
   auto it = by_fingerprint_.find(fingerprint);
   if (it != by_fingerprint_.end()) {
     slot = it->second;  // another worker extracted this region first
-    if (index_ != nullptr) {
-      index_->Expand(slot, lo, hi);  // union of both certificates
-    }
+    index_.Expand(slot, lo, hi);  // union of both certificates
   } else {
-    CachedRegion incoming(std::move(model), fingerprint, anchor);
+    CachedRegion incoming(std::move(model), fingerprint, anchor, argmax);
     incoming.epoch = epoch_.load(std::memory_order_relaxed);
     const size_t incoming_bytes = SlotBytes(incoming);
     if (byte_budget_ > 0 &&
@@ -528,12 +481,14 @@ size_t EndpointSession::InsertRegion(
     by_fingerprint_.emplace(fingerprint, slot);
     BumpGauge(&StatCounters::region_bytes,
               static_cast<int64_t>(SlotBytes(regions_[slot])));
-    if (index_ != nullptr) index_->Insert(slot, lo, hi);
+    index_.Insert(slot, lo, hi);
     if (evicted_fingerprints_.erase(fingerprint) > 0 && outcome != nullptr) {
       *outcome = CacheOutcome::kEvictedRefetch;
     }
   }
-  FileBucketLocked(slot, argmax);
+  // Idempotent: a region spanning a class boundary gains a forest per
+  // class it has been inserted or hit under.
+  index_.File(slot, argmax);
   FilePointLocked(PointKeyOf(memo_point), slot);
   RefreshIndexBytesLocked();
   EnforceByteBudgetLocked(slot, spills);
@@ -688,13 +643,8 @@ Result<Interpretation> EndpointSession::InterpretCached(
         region.hits.fetch_add(1, std::memory_order_relaxed);
         Bump(&StatCounters::point_memo_hits);
         *outcome = CacheOutcome::kPointMemo;
-        Interpretation out;
-        out.dc = api::GroundTruthDecisionFeatures(region.model, c);
-        out.pairs = PairsFromModel(region.model, c);
-        out.iterations = 0;
-        out.edge_length = 0.0;
-        out.queries = 0;
-        return out;
+        return CachedAnswer(region.model, c, /*probe=*/nullptr,
+                            config.validation_edge);
       }
     }
   }
@@ -738,14 +688,8 @@ Result<Interpretation> EndpointSession::InterpretCached(
         RegionMatches(*drift_check_model, probe, y_probe)) {
       Bump(&StatCounters::point_memo_hits);
       *outcome = CacheOutcome::kPointMemo;
-      Interpretation out;
-      out.dc = api::GroundTruthDecisionFeatures(*drift_check_model, c);
-      out.pairs = PairsFromModel(*drift_check_model, c);
-      out.iterations = 0;
-      out.edge_length = config.validation_edge;
-      out.probes.push_back(std::move(probe));
-      out.queries = 2;
-      return out;
+      return CachedAnswer(*drift_check_model, c, &probe,
+                          config.validation_edge);
     }
     Bump(&StatCounters::drift_events);
     InvalidateStaleRegions();
@@ -773,47 +717,21 @@ Result<Interpretation> EndpointSession::InterpretCached(
     if (model.has_value() && RegionMatches(*model, x0, y0) &&
         RegionMatches(*model, probe, y_probe)) {
       {
-        // Memoize the point, and file the slot under this argmax too when
-        // the fallback pass found it in another bucket (region spanning
-        // the decision boundary), so the next same-side request hits the
-        // bucket pass. The fingerprint check keeps a refilled slot from
-        // poisoning the memo.
+        // Memoize the point and teach the learned box: grow it to cover
+        // x0, and file the slot under this argmax too when the region
+        // spans the decision boundary, so the next nearby request
+        // resolves in the index stab instead of the fallback scan. The
+        // occupancy and fingerprint checks keep an evicted or refilled
+        // slot from poisoning the memo.
         util::WriterMutexLock lock(cache_mutex_);
-        if (slot < regions_.size() &&
+        if (slot < regions_.size() && regions_[slot].occupied &&
             regions_[slot].fingerprint == fingerprint) {
           FilePointLocked(key, slot);
           regions_[slot].hits.fetch_add(1, std::memory_order_relaxed);
-          if (index_ != nullptr) {
-            if (index_->contains(slot)) {
-              // A validated hit teaches the learned box: grow it to
-              // cover x0 so the next nearby request resolves in the
-              // index stab instead of the fallback scan.
-              index_->Expand(slot, x0);
-            }
-            // Buckets are not a scan structure when the index is on, so
-            // the O(bucket) transpose promotion below would be pure
-            // overhead (at 10^6 regions it would dominate the lookup).
-            // Membership comes from the slot's own short key list; a
-            // boundary-spanning region still gets filed under the new
-            // argmax (which also files its index forest).
-            const std::vector<size_t>& keys = regions_[slot].bucket_keys;
-            if (std::find(keys.begin(), keys.end(), argmax) == keys.end()) {
-              FileBucketLocked(slot, argmax);
-            }
-          } else {
-            std::vector<size_t>& bucket = by_argmax_[argmax];
-            auto pos = std::find(bucket.begin(), bucket.end(), slot);
-            if (pos == bucket.end()) {
-              FileBucketLocked(slot, argmax);
-            } else if (pos != bucket.begin()) {
-              // Transpose promotion: each hit moves the region one step
-              // toward the front of its bucket, so hot regions drift to
-              // the head without any per-scan sorting.
-              std::iter_swap(pos, pos - 1);
-            }
-          }
-          // The memo (and possibly the box/bucket filings) grew: keep
-          // the byte ceiling while protecting the slot just served.
+          index_.Expand(slot, x0);
+          index_.File(slot, argmax);
+          // The memo and the box grew: keep the byte ceiling while
+          // protecting the slot just served.
           RefreshIndexBytesLocked();
           EnforceByteBudgetLocked(slot, &spills);
         }
@@ -821,14 +739,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
       PersistSpills(&spills);
       Bump(&StatCounters::cache_hits);
       *outcome = CacheOutcome::kMemoryHit;
-      Interpretation out;
-      out.dc = api::GroundTruthDecisionFeatures(*model, c);
-      out.pairs = PairsFromModel(*model, c);
-      out.iterations = 0;
-      out.edge_length = config.validation_edge;
-      out.probes.push_back(std::move(probe));
-      out.queries = 2;
-      return out;
+      return CachedAnswer(*model, c, &probe, config.validation_edge);
     }
     // The slot vanished under us: treat the request as a miss below.
   }
@@ -846,14 +757,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
       PersistSpills(&spills);
       Bump(&StatCounters::disk_hits);
       *outcome = CacheOutcome::kDiskHit;
-      Interpretation out;
-      out.dc = api::GroundTruthDecisionFeatures(reloaded, c);
-      out.pairs = PairsFromModel(reloaded, c);
-      out.iterations = 0;
-      out.edge_length = config.validation_edge;
-      out.probes.push_back(std::move(probe));
-      out.queries = 2;
-      return out;
+      return CachedAnswer(reloaded, c, &probe, config.validation_edge);
     }
     PersistSpills(&spills);
   }
@@ -1090,12 +994,11 @@ void EndpointSession::InvalidateStaleRegions() const {
 void EndpointSession::ClearCacheLocked() const {
   regions_.clear();
   by_fingerprint_.clear();
-  by_argmax_.clear();
   point_memo_.clear();
   evicted_fingerprints_.clear();
   clock_hand_ = 0;
   free_slots_.clear();
-  if (index_ != nullptr) index_->Clear();
+  index_.Clear();
   // Gauges follow the residency to zero (balanced deltas keep the
   // engine aggregate consistent across the session's lifetime).
   BumpGauge(&StatCounters::region_bytes,

@@ -12,7 +12,7 @@
 //
 // The unit of serving is an ENDPOINT SESSION. `engine.OpenSession(api)`
 // binds one `api::PredictionApi` (or `api::ApiReplicaSet`) and namespaces
-// the region cache, point memo, and argmax buckets to that endpoint: one
+// the region cache, point memo, and region index to that endpoint: one
 // engine serves several distinct endpoints concurrently with zero
 // cross-endpoint cache traffic and no ClearCache footgun. A session
 // offers four request shapes:
@@ -50,7 +50,7 @@
 // gauges EngineStats reports. Inserts past either bound evict via a
 // second-chance clock over per-region hit counters (hot regions survive,
 // cold ones cycle out; evictions surface in EngineStats). Evicting a
-// region also drops its point-memo keys and bucket entries, so a stale
+// region also drops its point-memo keys and index entry, so a stale
 // memo can never serve a dead slot.
 //
 // ## The persistent tier (store::RegionStore)
@@ -86,23 +86,15 @@
 //     exact x0 was answered before costs ZERO API queries, any class;
 //   * a fingerprint index (quantized canonical-model hash -> slot) that
 //     deduplicates regions extracted concurrently by different workers;
-//   * argmax buckets: candidate regions are grouped by the class they
-//     predict at their anchor, so a request at a new x0 first tests the
-//     bucket matching argmax(y0) — hottest regions first (each hit
-//     promotes its region one step toward the bucket head, the classic
-//     transpose heuristic) — and only falls back to the remaining regions
-//     when the bucket misses (a region can span the decision boundary, so
-//     the bucket key is a pruning heuristic, never a correctness filter);
-//   * the REGION INDEX (region_index.h, EngineConfig::use_region_index,
-//     default on): hierarchical point location over learned per-region
-//     bounding boxes, the argmax partition as its top level. At
-//     production cache sizes (10^5-10^6 regions) the bucketed scan above
-//     still evaluates every cached model; the index stabs the boxes in
-//     O(log n)-ish time, validates the few candidates exactly, and only
-//     when none survives falls back to the full scan (then GROWS the
-//     matched region's box, so repeat traffic stays logarithmic). The
-//     index is decision-invisible: identical hit/miss outcomes and query
-//     counts as the scan legs on every request.
+//   * the REGION INDEX (region_index.h), the one candidate search:
+//     hierarchical point location over learned per-region bounding boxes,
+//     one forest per predicted class. A request at a new x0 stabs the
+//     boxes in O(log n)-ish time, validates the few candidates exactly,
+//     and only when none survives falls back to a full scan of the cache
+//     (then GROWS the matched region's box, so repeat traffic stays
+//     logarithmic). The fallback keeps the index decision-invisible:
+//     identical hit/miss outcomes and query counts to a linear scan on
+//     every request (the parity fuzz checks it against a test oracle).
 // A request at a new x0 still validates cache candidates against the API
 // output (2 batched queries) — black-box point location fundamentally
 // needs the candidate test — but candidates are scanned under a shared
@@ -191,21 +183,6 @@ struct EngineConfig {
   /// session is a plain concurrent fan-out of OpenApiInterpreter (useful
   /// as the uncached baseline in benches).
   bool use_region_cache = true;
-  /// Prune the candidate scan with argmax buckets + hit-frequency
-  /// ordering. Off = the plain linear scan (bench baseline). Hit/miss
-  /// behavior is identical either way. Consulted only when
-  /// use_region_index is off — the index supersedes the bucket scan.
-  bool bucket_candidates = true;
-  /// Answer the candidate scan by hierarchical point location
-  /// (region_index.h): stab the learned per-region bounding boxes in
-  /// O(log n)-ish time, validate the few candidates exactly, and fall
-  /// back to the full scan only when no candidate survives (first visit
-  /// to an uncovered part of a region; the validated hit then grows the
-  /// region's box, so repeat traffic stays logarithmic). Off preserves
-  /// the linear/bucketed scan as the reference leg. DECISION-INVISIBLE:
-  /// hit/miss outcomes and consumed query counts are identical either
-  /// way on every request (the parity fuzz tests assert it).
-  bool use_region_index = true;
   /// Default region capacity of each session's cache; 0 = unbounded.
   /// OpenSession can override per session. At capacity, inserts evict
   /// via a second-chance clock over per-region hit counters.
@@ -289,6 +266,10 @@ enum class CacheOutcome {
                     // request re-extracted at the new epoch
 };
 
+/// Stable, distinct, human-readable name of `outcome` ("memory-hit",
+/// "stale-refetch", ...) for logs, examples, and bench output.
+const char* CacheOutcomeName(CacheOutcome outcome);
+
 /// The serving envelope around one request's answer: what a metered
 /// client needs to bill, retry, or debug the request.
 struct EngineResponse {
@@ -367,8 +348,8 @@ struct SessionOptions {
   store::RegionStore* store = nullptr;
 };
 
-/// One endpoint's serving context: a region cache + point memo + argmax
-/// buckets namespaced to a single PredictionApi, with a bounded capacity.
+/// One endpoint's serving context: a region cache + point memo + region
+/// index namespaced to a single PredictionApi, with a bounded capacity.
 /// Obtained from InterpretationEngine::OpenSession; always held by
 /// shared_ptr (async work keeps the session alive until it completes).
 /// All methods are const and safe to call concurrently.
@@ -411,10 +392,10 @@ class EndpointSession
   /// `model` valid around `anchor`, certified over the hypercube
   /// {x : |x_j - anchor_j| <= edge_length} — without paying extraction
   /// queries. This is how a tiered store (or a bench) reloads a cache of
-  /// millions of regions: the model is fingerprinted, filed under the
-  /// class it predicts at `anchor`, memoized for the anchor point, and
-  /// filed into the region index with the certified hypercube as its
-  /// initial learned box. Imported models are trusted exactly like
+  /// millions of regions: the model is fingerprinted, memoized for the
+  /// anchor point, and filed into the region index — under the class it
+  /// predicts at `anchor` — with the certified hypercube as its initial
+  /// learned box. Imported models are trusted exactly like
   /// extracted ones (an anchor repeat serves from the memo with zero
   /// validation queries; any other point still pays the 2-query
   /// validation pair), so the caller must import models that match the
@@ -441,7 +422,7 @@ class EndpointSession
   /// This session's own counters (the engine aggregates all sessions).
   EngineStats stats() const;
   void ResetStats() const;
-  /// Drops this session's cached regions, point memo, argmax buckets,
+  /// Drops this session's cached regions, point memo, region index,
   /// and eviction bookkeeping. Safe to race with in-flight requests:
   /// they re-extract as needed.
   void ClearCache() const EXCLUDES(cache_mutex_);
@@ -453,6 +434,7 @@ class EndpointSession
 
  private:
   friend class InterpretationEngine;
+  friend class EndpointSessionTestPeer;
 
   using PointKey = std::pair<uint64_t, uint64_t>;
 
@@ -475,18 +457,21 @@ class EndpointSession
     /// Point-memo keys filed under this slot (bounded FIFO), removed
     /// from the memo when the region is evicted.
     std::vector<PointKey> points;
-    /// Argmax bucket keys this slot is filed under.
-    std::vector<size_t> bucket_keys;
+    /// Class the region predicted when it was inserted; eviction spill
+    /// records carry it as the region's argmax.
+    size_t argmax = 0;
     /// Drift epoch this region was extracted/validated at. Regions from
     /// an older epoch are invalidated eagerly on a drift bump; the scan
     /// paths also skip them defensively, so a stale closed form can never
     /// serve even mid-invalidation.
     uint64_t epoch = 0;
 
-    CachedRegion(api::LocalLinearModel m, uint64_t fp, Vec anchor_point)
+    CachedRegion(api::LocalLinearModel m, uint64_t fp, Vec anchor_point,
+                 size_t argmax_class)
         : model(std::move(m)),
           fingerprint(fp),
-          anchor(std::move(anchor_point)) {}
+          anchor(std::move(anchor_point)),
+          argmax(argmax_class) {}
     CachedRegion(CachedRegion&& other) noexcept
         : model(std::move(other.model)),
           fingerprint(other.fingerprint),
@@ -494,7 +479,7 @@ class EndpointSession
           occupied(other.occupied),
           hits(other.hits.load(std::memory_order_relaxed)),
           points(std::move(other.points)),
-          bucket_keys(std::move(other.bucket_keys)),
+          argmax(other.argmax),
           epoch(other.epoch) {}
     CachedRegion& operator=(CachedRegion&& other) noexcept {
       model = std::move(other.model);
@@ -504,7 +489,7 @@ class EndpointSession
       hits.store(other.hits.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
       points = std::move(other.points);
-      bucket_keys = std::move(other.bucket_keys);
+      argmax = other.argmax;
       epoch = other.epoch;
       return *this;
     }
@@ -599,20 +584,20 @@ class EndpointSession
 
   /// Returns the slot whose model explains (x0, y0) and (probe, y_probe),
   /// or SIZE_MAX. Takes the shared (reader) lock itself. `argmax` is the
-  /// predicted class at x0 (from y0) selecting the bucket (or index
-  /// forest) scanned first. With use_region_index on, candidates come
-  /// from the index's stabbing query and the full scan runs only when
-  /// none of them validates — the decision (and therefore every
-  /// downstream query count) is identical to the scan legs.
+  /// predicted class at x0 (from y0) selecting the index forest stabbed
+  /// first. Candidates come from the index's stabbing query and the full
+  /// scan runs only when none of them validates — the hit/miss decision
+  /// (and therefore every downstream query count) is that of a linear
+  /// scan over every occupied slot.
   size_t FindMatchingRegion(const Vec& x0, const Vec& y0, const Vec& probe,
                             const Vec& y_probe, size_t argmax) const
       EXCLUDES(cache_mutex_);
 
   /// Inserts `model` (deduplicating by fingerprint; evicting at count
-  /// capacity or byte budget), memoizes memo_point -> slot, files the
-  /// slot under bucket `argmax`, and files the slot into the region
-  /// index with initial box [lo, hi] (a fingerprint-deduplicated
-  /// re-insert unions its box into the existing one instead). `anchor`
+  /// capacity or byte budget), memoizes memo_point -> slot, and files the
+  /// slot into the region index under class `argmax` with initial box
+  /// [lo, hi] (a fingerprint-deduplicated re-insert unions its box into
+  /// the existing one instead). `anchor`
   /// is the point the region is certified to contain — equal to
   /// memo_point on extraction/import, the persisted anchor on a disk
   /// reload. Exclusive (writer) lock. Flips *outcome to kEvictedRefetch
@@ -665,25 +650,21 @@ class EndpointSession
       REQUIRES(cache_mutex_);
 
   /// Removes one region from EVERY auxiliary structure — fingerprint
-  /// map, point-memo keys, argmax buckets, region index — as one step,
+  /// map, point-memo keys, region index — as one step,
   /// so no mutation path can leave a structure holding a dead slot.
   /// Requires the writer lock; the slot itself stays allocated for the
   /// caller to refill.
   void DropRegionAuxLocked(size_t slot) const REQUIRES(cache_mutex_);
 
-  /// CHECKs the eviction/index coherence invariant: with the index on,
-  /// every OCCUPIED cache slot is present in the index (index size ==
-  /// occupied count). Called after every cache mutation; a violation is
-  /// memory corruption in the making, so it aborts rather than degrades.
+  /// CHECKs the eviction/index coherence invariant: every OCCUPIED cache
+  /// slot is present in the index (index size == occupied count). Called
+  /// after every cache mutation; a violation is memory corruption in the
+  /// making, so it aborts rather than degrades.
   void CheckAuxCoherenceLocked() const REQUIRES(cache_mutex_);
 
   /// Files `key` -> `slot` in the point memo and the slot's bounded
   /// per-region key list. Requires the writer lock.
   void FilePointLocked(const PointKey& key, size_t slot) const
-      REQUIRES(cache_mutex_);
-
-  /// Files `slot` under bucket `argmax` (once). Requires the writer lock.
-  void FileBucketLocked(size_t slot, size_t argmax) const
       REQUIRES(cache_mutex_);
 
   bool RegionMatches(const api::LocalLinearModel& model, const Vec& x,
@@ -724,9 +705,6 @@ class EndpointSession
   mutable std::vector<CachedRegion> regions_ GUARDED_BY(cache_mutex_);
   mutable std::unordered_map<uint64_t, size_t> by_fingerprint_
       GUARDED_BY(cache_mutex_);
-  /// argmax class at the region's anchor -> slots, scan order by hits.
-  mutable std::unordered_map<size_t, std::vector<size_t>> by_argmax_
-      GUARDED_BY(cache_mutex_);
   mutable std::unordered_map<PointKey, size_t, PairHash> point_memo_
       GUARDED_BY(cache_mutex_);
   /// Fingerprints of evicted regions, kept (bounded) to classify their
@@ -739,13 +717,11 @@ class EndpointSession
   /// emptied) and absent from every auxiliary structure.
   mutable std::vector<size_t> free_slots_ GUARDED_BY(cache_mutex_);
   /// Hierarchical point-location index over the learned per-region
-  /// bounding boxes (nullptr when EngineConfig::use_region_index is off
-  /// or the cache is disabled). RegionIndex has no locks of its own: the
-  /// POINTEE shares cache_mutex_ — Collect* run under the reader lock
-  /// (no interior mutation), every mutator under the writer lock. The
-  /// pointer itself is set once in the constructor and never reseated,
-  /// so the `index_ != nullptr` checks read it lock-free.
-  mutable std::unique_ptr<RegionIndex> index_ PT_GUARDED_BY(cache_mutex_);
+  /// bounding boxes: every occupied slot, filed under each class it has
+  /// served. RegionIndex has no locks of its own and shares cache_mutex_
+  /// — Collect* run under the reader lock (no interior mutation), every
+  /// mutator under the writer lock.
+  mutable RegionIndex index_ GUARDED_BY(cache_mutex_);
 
   /// Current drift epoch; newly inserted regions are tagged with it.
   /// Atomic so the hot read (scan skip checks) stays under the reader

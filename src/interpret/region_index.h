@@ -1,14 +1,13 @@
 // RegionIndex: hierarchical point location over cached region bounding
-// boxes — the O(log n) replacement for the session cache's linear
-// candidate scan.
+// boxes — the session cache's candidate search.
 //
 // ## The problem
 //
 // A production audit of one endpoint accumulates 10^5-10^6 cached
 // regions. EndpointSession answers "which cached region explains the API
-// output at x0" — and its candidate scan (argmax buckets + linear
-// fallback) evaluates every cached model, so lookup cost grows linearly
-// with the cache. This index answers the same question by point location:
+// output at x0" — and a linear scan evaluates every cached model, so its
+// cost grows with the cache. This index answers the question by point
+// location:
 // each cached region carries an axis-aligned bounding box of the inputs
 // it is KNOWN to cover, and a stabbing query over those boxes returns the
 // few regions whose box contains x0.
@@ -28,19 +27,19 @@
 // caller validates every candidate with the exact match predicate and
 // falls back to the full scan when no candidate survives. The index
 // prunes; it never decides. That is what keeps it DECISION-INVISIBLE:
-// hit/miss outcomes and consumed query counts are bit-identical to the
-// linear reference scan on every request (asserted by the parity fuzz
-// tests), while repeat traffic — the reason a cache ever reaches 10^6
-// regions — stabs in logarithmic time.
+// hit/miss outcomes and consumed query counts are those of a linear scan
+// on every request (the parity fuzz test checks the session against a
+// linear-scan oracle), while repeat traffic — the reason a cache ever
+// reaches 10^6 regions — stabs in logarithmic time.
 //
 // ## Structure
 //
-// Top level: the session's existing argmax-class partition. Regions are
-// filed under the class(es) they predict at their anchor, one FOREST per
-// class; a query stabs the forest matching argmax(y0) first — the bucket
-// that almost always holds the answer — then the remaining forests (the
-// class count is a small constant; a region spanning the decision
-// boundary is filed under every class it has served).
+// Top level: one FOREST per predicted class. Regions are filed under the
+// class they predict at their anchor; a query stabs the forest matching
+// argmax(y0) first — the one that almost always holds the answer — then
+// the remaining forests (the class count is a small constant; a region
+// spanning the decision boundary is filed under every class it has
+// served).
 //
 // Within a forest: Bentley's logarithmic method. Incremental k-d
 // insertion degrades to a linear spine under sorted insertion orders —
@@ -69,9 +68,9 @@
 // (no interior mutation, safe concurrent readers), every mutator runs
 // under the writer lock the cache mutation already holds. That contract
 // is stated where the compiler can check it: the session declares its
-// `index_` member PT_GUARDED_BY(cache_mutex_) (util/thread_annotations.h),
-// so under Clang -Werror=thread-safety any dereference outside the
-// session's lock is a compile error. This class stays annotation-free by
+// `index_` member GUARDED_BY(cache_mutex_) (util/thread_annotations.h),
+// so under Clang -Werror=thread-safety any use outside the session's
+// lock is a compile error. This class stays annotation-free by
 // design — a capability on a lock the class does not own cannot be named
 // here, and adding an internal lock would double-lock the hot stab path.
 

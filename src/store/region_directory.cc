@@ -34,7 +34,7 @@ void RegionDirectory::Put(uint64_t fingerprint, uint64_t offset,
   boxes_.insert(boxes_.end(), lo.begin(), lo.end());
   boxes_.insert(boxes_.end(), hi.begin(), hi.end());
   by_fingerprint_.emplace(fingerprint, index);
-  by_argmax_[argmax].push_back(index);
+  by_class_[argmax].push_back(index);
 }
 
 bool RegionDirectory::Lookup(uint64_t fingerprint, uint64_t* offset) const {
@@ -84,11 +84,11 @@ void RegionDirectory::CollectCandidates(const Vec& x, size_t first_argmax,
                                         std::vector<uint64_t>* offsets,
                                         uint32_t min_epoch) const {
   OPENAPI_CHECK_EQ(x.size(), dim_);
-  auto first = by_argmax_.find(static_cast<uint32_t>(first_argmax));
-  if (first != by_argmax_.end()) {
+  auto first = by_class_.find(static_cast<uint32_t>(first_argmax));
+  if (first != by_class_.end()) {
     CollectPartition(first->second, x, min_epoch, offsets);
   }
-  for (const auto& [argmax, partition] : by_argmax_) {
+  for (const auto& [argmax, partition] : by_class_) {
     if (argmax == first_argmax) continue;
     CollectPartition(partition, x, min_epoch, offsets);
   }
@@ -99,7 +99,7 @@ size_t RegionDirectory::memory_bytes() const {
          boxes_.capacity() * sizeof(double) +
          by_fingerprint_.size() *
              (sizeof(uint64_t) + sizeof(uint32_t) + 2 * sizeof(void*)) +
-         by_argmax_.size() * (sizeof(uint32_t) + 3 * sizeof(void*)) +
+         by_class_.size() * (sizeof(uint32_t) + 3 * sizeof(void*)) +
          entries_.size() * sizeof(uint32_t);
 }
 

@@ -93,7 +93,7 @@ class RegionDirectory {
   std::vector<double> boxes_;
   std::unordered_map<uint64_t, uint32_t> by_fingerprint_;
   /// argmax -> entry indices; ordered so candidate order is deterministic.
-  std::map<uint32_t, std::vector<uint32_t>> by_argmax_;
+  std::map<uint32_t, std::vector<uint32_t>> by_class_;
 };
 
 }  // namespace openapi::store

@@ -18,24 +18,6 @@ Result<CsvWriter> CsvWriter::Open(const std::string& path,
   return writer;
 }
 
-Result<CsvWriter> CsvWriter::OpenAppend(
-    const std::string& path, const std::vector<std::string>& header) {
-  if (header.empty()) {
-    return Status::InvalidArgument("CSV header must be non-empty");
-  }
-  Result<uint64_t> existing_size = FileSizeOf(path);
-  const bool need_header = !existing_size.ok() || *existing_size == 0;
-  auto out = File::Open(path, File::Mode::kAppend);
-  if (!out.ok()) {
-    return Status::IoError("cannot open for appending: " + path);
-  }
-  CsvWriter writer(std::move(*out), header.size());
-  if (need_header) {
-    OPENAPI_RETURN_NOT_OK(writer.WriteRow(header));
-  }
-  return writer;
-}
-
 Status CsvWriter::WriteRow(const std::vector<std::string>& fields) {
   if (fields.size() != num_columns_) {
     return Status::InvalidArgument(StrFormat(

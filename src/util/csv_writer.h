@@ -18,13 +18,6 @@ class CsvWriter {
   static Result<CsvWriter> Open(const std::string& path,
                                 const std::vector<std::string>& header);
 
-  /// Opens `path` for APPENDING; the header row is emitted only when the
-  /// file is new or empty. Lets several benchmark binaries contribute
-  /// rows to one trajectory artifact (bench_scaling writes it, then
-  /// bench_kernels appends) — the header arity must match.
-  static Result<CsvWriter> OpenAppend(const std::string& path,
-                                      const std::vector<std::string>& header);
-
   CsvWriter(CsvWriter&&) = default;
   CsvWriter& operator=(CsvWriter&&) = default;
 

@@ -146,7 +146,9 @@ TEST(FaultInjectionTest, ThrottleWindowsFollowTheCallCounter) {
     auto ys = api.TryPredictBatch(MakeBatch(2, 900 + call));
     const bool throttled = call % 4 < 2;
     EXPECT_EQ(ys.ok(), !throttled) << "call " << call;
-    if (throttled) EXPECT_TRUE(ys.status().IsThrottled());
+    if (throttled) {
+      EXPECT_TRUE(ys.status().IsThrottled());
+    }
   }
   EXPECT_EQ(api.injected_failures(), 6u);
 }

@@ -4,8 +4,7 @@
 // succeeds with correct values and exact accounting), the breaker opens
 // at the threshold and routes primary traffic away, half-open probing
 // closes it on success and re-opens it on failure, and an all-quarantined
-// fleet falls back to every replica rather than refusing to route. Plus
-// the TwoPointLatency unit contract the latency-aware router builds on.
+// fleet falls back to every replica rather than refusing to route.
 
 #include <gtest/gtest.h>
 
@@ -247,35 +246,6 @@ TEST(ReplicaQuarantineTest, AllQuarantinedFallsBackAndHeals) {
   flaky[2]->set_failing(false);
   CallAndCheck(*model, set, MakeBatch(6, 702), /*expect_ok=*/true);
   EXPECT_GE(set.replica_successes(2), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// TwoPointLatency: the per-replica latency model the router consults.
-// Observations of two shard sizes pin down both components; Estimate is
-// affine in rows; Reset forgets everything.
-// ---------------------------------------------------------------------------
-TEST(ReplicaQuarantineTest, TwoPointLatencyFitsAndResets) {
-  TwoPointLatency latency;
-  EXPECT_EQ(latency.samples(), 0u);
-  EXPECT_EQ(latency.Estimate(100), 0.0);  // cold: no opinion
-
-  // True cost: 2ms per call + 1ms per row. Feed alternating shard sizes
-  // until the normalized LMS folds converge.
-  for (int round = 0; round < 400; ++round) {
-    latency.Record(10, 0.002 + 0.001 * 10, 0.25);
-    latency.Record(50, 0.002 + 0.001 * 50, 0.25);
-  }
-  EXPECT_EQ(latency.samples(), 800u);
-  EXPECT_NEAR(latency.Estimate(10), 0.012, 0.002);
-  EXPECT_NEAR(latency.Estimate(50), 0.052, 0.005);
-  // Affine extrapolation, not a per-shard lookup.
-  EXPECT_NEAR(latency.Estimate(30), 0.032, 0.005);
-
-  latency.Reset();
-  EXPECT_EQ(latency.samples(), 0u);
-  EXPECT_EQ(latency.per_call_seconds(), 0.0);
-  EXPECT_EQ(latency.per_row_seconds(), 0.0);
-  EXPECT_EQ(latency.Estimate(50), 0.0);
 }
 
 }  // namespace
