@@ -158,7 +158,8 @@ namespace openapi::interpret {
 struct EngineRequest {
   Vec x0;
   size_t c = 0;
-  RequestOptions options;
+  /// Defaulted, so `{x0, c}` is a complete request.
+  RequestOptions options = {};
 };
 
 struct EngineConfig {

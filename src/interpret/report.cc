@@ -47,7 +47,9 @@ InterpretationReport BuildReport(const Interpretation& interpretation,
 namespace {
 
 std::string FeatureName(size_t index, size_t width) {
-  if (width == 0) return "f" + std::to_string(index);
+  // StrFormat, not "f" + std::to_string(index): GCC 12 reports a false
+  // -Wrestrict inside libstdc++ for a literal + std::string&&.
+  if (width == 0) return util::StrFormat("f%zu", index);
   return util::StrFormat("pixel(%zu,%zu)", index / width, index % width);
 }
 

@@ -11,8 +11,9 @@ void RegionDirectory::Put(uint64_t fingerprint, uint64_t offset,
                           uint32_t epoch) {
   OPENAPI_CHECK_EQ(lo.size(), dim_);
   OPENAPI_CHECK_EQ(hi.size(), dim_);
-  auto it = by_fingerprint_.find(fingerprint);
-  if (it != by_fingerprint_.end()) {
+  const auto [it, inserted] = by_fingerprint_.try_emplace(
+      fingerprint, static_cast<uint32_t>(entries_.size()));
+  if (!inserted) {
     const size_t index = it->second;
     Entry& entry = entries_[index];
     entry.offset = offset;
@@ -29,12 +30,16 @@ void RegionDirectory::Put(uint64_t fingerprint, uint64_t offset,
     // CollectCandidates falls back to the other partitions anyway.
     return;
   }
-  const uint32_t index = static_cast<uint32_t>(entries_.size());
+  by_class_[argmax].push_back(it->second);
   entries_.push_back(Entry{fingerprint, offset, argmax, epoch});
   boxes_.insert(boxes_.end(), lo.begin(), lo.end());
   boxes_.insert(boxes_.end(), hi.begin(), hi.end());
-  by_fingerprint_.emplace(fingerprint, index);
-  by_class_[argmax].push_back(index);
+}
+
+void RegionDirectory::Reserve(size_t entries) {
+  entries_.reserve(entries);
+  boxes_.reserve(entries * 2 * dim_);
+  by_fingerprint_.reserve(entries);
 }
 
 bool RegionDirectory::Lookup(uint64_t fingerprint, uint64_t* offset) const {

@@ -46,6 +46,11 @@ class RegionDirectory {
   void Put(uint64_t fingerprint, uint64_t offset, uint32_t argmax,
            const Vec& lo, const Vec& hi, uint32_t epoch = 0);
 
+  /// Pre-sizes the entry storage and fingerprint map for `entries`
+  /// distinct fingerprints (RegionStore::Open passes the log's frame
+  /// count, so replay does not regrow them).
+  void Reserve(size_t entries);
+
   bool Contains(uint64_t fingerprint) const {
     return by_fingerprint_.count(fingerprint) > 0;
   }

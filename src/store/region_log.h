@@ -24,22 +24,28 @@
 //
 // ## Recovery
 //
-// Open() reads the whole file once, validates records front to back, and
-// TRUNCATES the file at the first frame that fails (torn tail from a
-// crash mid-append, or a checksum/magic/size mismatch from corruption) —
+// Open() streams the file once, front to back, in chunks of whole frames
+// (kReplayChunkBytes, so replay holds at most one chunk of the log in
+// memory whatever the log's size). Each chunk's frames are checked —
+// magic, payload size, checksum — in parallel on util::SharedThreadPool;
+// the file is TRUNCATED at the first frame that fails (torn tail from a
+// crash mid-append, or a checksum/magic/size mismatch from corruption),
 // dropping that record and everything after it, with a logged warning
 // carrying the path, the byte count dropped, and the reason. The intact
-// prefix is replayed through the caller's callback (RegionStore rebuilds
-// its directory from it), so recovery costs exactly one sequential read.
-// A header that fails to validate is NOT silently rebuilt: the file is
-// some other endpoint's log (shape mismatch) or not a log at all, and
-// writing to it would destroy data the caller did not mean to touch.
+// prefix is replayed through the caller's callback, in append order on the
+// calling thread (RegionStore rebuilds its directory from it), so
+// recovery costs exactly one sequential read. A 0-byte file (a crash
+// before the header reached disk) opens as a fresh log. Any other header
+// that fails to validate is NOT silently rebuilt: the file is some other
+// endpoint's log (shape mismatch) or not a log at all, and writing to it
+// would destroy data the caller did not mean to touch.
 //
 // Not thread-safe: RegionStore serializes all access behind its mutex.
 
 #ifndef OPENAPI_STORE_REGION_LOG_H_
 #define OPENAPI_STORE_REGION_LOG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -58,11 +64,17 @@ class RegionLog {
     uint64_t bytes_truncated = 0;    // torn/corrupt tail dropped at Open
   };
 
-  /// Opens (creating if absent) the log at `path` for an endpoint of
-  /// shape (dim, num_classes), runs crash recovery, and replays every
-  /// intact record through `on_record` (offset, decoded record) in append
-  /// order. IoError when the file exists but is not a v1 log of this
-  /// shape.
+  /// Replay reads the log in chunks of this many bytes, rounded down to
+  /// whole frames (at least one frame per chunk).
+  static constexpr size_t kReplayChunkBytes = size_t{1} << 20;
+
+  /// Opens (creating if absent or empty) the log at `path` for an
+  /// endpoint of shape (dim, num_classes), runs crash recovery, and
+  /// replays every intact record through `on_record` (offset, decoded
+  /// record) in append order on the calling thread. The record is one
+  /// buffer reused for every call: it is valid only during the call, so
+  /// copy whatever must outlive it. IoError when the file is non-empty
+  /// but not a v1 log of this shape.
   static Result<std::unique_ptr<RegionLog>> Open(
       const std::string& path, size_t dim, size_t num_classes,
       const std::function<void(uint64_t, const RegionRecord&)>& on_record =

@@ -47,12 +47,41 @@ void ReadDoubles(const char* p, size_t count, double* out) {
 
 constexpr size_t kFrameHeaderSize = 4 + 4 + 8;  // magic, size, checksum
 
+constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
+constexpr uint64_t kFnvPrime = 1099511628211ULL;
+
+/// Fnv1a64 of four equal-size buffers at once. Each FNV step waits on the
+/// previous multiply, so one chain runs at the multiply's latency; four
+/// independent chains overlap it (about twice the byte rate of four
+/// Fnv1a64 calls). The empty asm keeps the chains in general registers:
+/// without it GCC packs them into one vector multiply chain, which is no
+/// faster than a single scalar chain.
+void Fnv1a64x4(const char* const data[4], size_t size, uint64_t out[4]) {
+  const auto* a = reinterpret_cast<const unsigned char*>(data[0]);
+  const auto* b = reinterpret_cast<const unsigned char*>(data[1]);
+  const auto* c = reinterpret_cast<const unsigned char*>(data[2]);
+  const auto* d = reinterpret_cast<const unsigned char*>(data[3]);
+  uint64_t ha = kFnvOffsetBasis, hb = kFnvOffsetBasis, hc = kFnvOffsetBasis,
+           hd = kFnvOffsetBasis;
+  for (size_t i = 0; i < size; ++i) {
+    ha = (ha ^ a[i]) * kFnvPrime;
+    hb = (hb ^ b[i]) * kFnvPrime;
+    hc = (hc ^ c[i]) * kFnvPrime;
+    hd = (hd ^ d[i]) * kFnvPrime;
+    asm("" : "+r"(ha), "+r"(hb), "+r"(hc), "+r"(hd));
+  }
+  out[0] = ha;
+  out[1] = hb;
+  out[2] = hc;
+  out[3] = hd;
+}
+
 }  // namespace
 
 uint64_t Fnv1a64(const char* data, size_t size) {
-  uint64_t h = 1469598103934665603ULL;
+  uint64_t h = kFnvOffsetBasis;
   for (size_t i = 0; i < size; ++i) {
-    h = (h ^ static_cast<unsigned char>(data[i])) * 1099511628211ULL;
+    h = (h ^ static_cast<unsigned char>(data[i])) * kFnvPrime;
   }
   return h;
 }
@@ -94,8 +123,8 @@ void EncodeRecord(const RegionRecord& record, size_t dim,
   out->append(payload);
 }
 
-Result<RegionRecord> DecodeRecord(std::string_view data, size_t offset,
-                                  size_t dim, size_t num_classes) {
+Status CheckFrame(std::string_view data, size_t offset, size_t dim,
+                  size_t num_classes) {
   if (offset + kFrameHeaderSize > data.size()) {
     return Status::OutOfRange("torn frame header");
   }
@@ -114,31 +143,67 @@ Result<RegionRecord> DecodeRecord(std::string_view data, size_t offset,
     return Status::OutOfRange("torn record payload");
   }
   const uint64_t checksum = ReadU64(frame + 8);
-  const char* payload = frame + kFrameHeaderSize;
-  if (Fnv1a64(payload, payload_size) != checksum) {
+  if (Fnv1a64(frame + kFrameHeaderSize, payload_size) != checksum) {
     return Status::IoError("record checksum mismatch");
   }
+  return Status::OK();
+}
 
-  RegionRecord record;
-  record.fingerprint = ReadU64(payload);
-  record.argmax = ReadU32(payload + 8);
-  record.epoch = ReadU32(payload + 12);
+void CheckFrames(std::string_view frames, size_t dim, size_t num_classes,
+                 char* intact) {
+  const size_t frame_size = RecordFrameSize(dim, num_classes);
+  const size_t payload_size = RecordPayloadSize(dim, num_classes);
+  const size_t count = frames.size() / frame_size;
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const char* frame[4];
+    const char* payload[4];
+    for (size_t k = 0; k < 4; ++k) {
+      frame[k] = frames.data() + (i + k) * frame_size;
+      payload[k] = frame[k] + kFrameHeaderSize;
+    }
+    uint64_t checksum[4];
+    Fnv1a64x4(payload, payload_size, checksum);
+    for (size_t k = 0; k < 4; ++k) {
+      intact[i + k] = ReadU32(frame[k]) == kRecordMagic &&
+                      ReadU32(frame[k] + 4) == payload_size &&
+                      ReadU64(frame[k] + 8) == checksum[k];
+    }
+  }
+  for (; i < count; ++i) {
+    intact[i] = CheckFrame(frames, i * frame_size, dim, num_classes).ok();
+  }
+}
+
+void DecodeCheckedFrame(const char* frame, size_t dim, size_t num_classes,
+                        RegionRecord* record) {
+  const char* payload = frame + kFrameHeaderSize;
+  record->fingerprint = ReadU64(payload);
+  record->argmax = ReadU32(payload + 8);
+  record->epoch = ReadU32(payload + 12);
   const char* p = payload + 16;
-  record.anchor.resize(dim);
-  ReadDoubles(p, dim, record.anchor.data());
+  record->anchor.resize(dim);
+  ReadDoubles(p, dim, record->anchor.data());
   p += dim * sizeof(double);
-  record.lo.resize(dim);
-  ReadDoubles(p, dim, record.lo.data());
+  record->lo.resize(dim);
+  ReadDoubles(p, dim, record->lo.data());
   p += dim * sizeof(double);
-  record.hi.resize(dim);
-  ReadDoubles(p, dim, record.hi.data());
+  record->hi.resize(dim);
+  ReadDoubles(p, dim, record->hi.data());
   p += dim * sizeof(double);
-  record.model.weights = linalg::Matrix(dim, num_classes);
+  record->model.weights.Resize(dim, num_classes);
   ReadDoubles(p, dim * num_classes,
-              record.model.weights.mutable_data().data());
+              record->model.weights.mutable_data().data());
   p += dim * num_classes * sizeof(double);
-  record.model.bias.resize(num_classes);
-  ReadDoubles(p, num_classes, record.model.bias.data());
+  record->model.bias.resize(num_classes);
+  ReadDoubles(p, num_classes, record->model.bias.data());
+}
+
+Result<RegionRecord> DecodeRecord(std::string_view data, size_t offset,
+                                  size_t dim, size_t num_classes) {
+  OPENAPI_RETURN_NOT_OK(CheckFrame(data, offset, dim, num_classes));
+  RegionRecord record;
+  DecodeCheckedFrame(data.data() + offset, dim, num_classes, &record);
   return record;
 }
 

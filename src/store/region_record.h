@@ -81,12 +81,27 @@ size_t RecordFrameSize(size_t dim, size_t num_classes);
 void EncodeRecord(const RegionRecord& record, size_t dim,
                   size_t num_classes, std::string* out);
 
-/// Decodes the frame starting at data[offset]. Returns:
+/// Validates the frame starting at data[offset] without decoding it:
 ///   OutOfRange          frame extends past the end of `data` (torn tail)
 ///   IoError             bad magic, wrong payload size, or checksum
 ///                       mismatch (corruption)
 /// Recovery treats both the same way — truncate at `offset` — but the
 /// distinction makes the log's warning messages say what happened.
+Status CheckFrame(std::string_view data, size_t offset, size_t dim,
+                  size_t num_classes);
+
+/// CheckFrame over the whole frames `frames` holds, back to back from its
+/// first byte: intact[i] is set to whether frame i passes. Checksums four
+/// frames at a time, so it is the fast path for scanning a log.
+void CheckFrames(std::string_view frames, size_t dim, size_t num_classes,
+                 char* intact);
+
+/// Decodes a frame CheckFrame accepted into *record, reusing its buffers
+/// (replay decodes every record of a log into one RegionRecord).
+void DecodeCheckedFrame(const char* frame, size_t dim, size_t num_classes,
+                        RegionRecord* record);
+
+/// CheckFrame, then DecodeCheckedFrame into a fresh record.
 Result<RegionRecord> DecodeRecord(std::string_view data, size_t offset,
                                   size_t dim, size_t num_classes);
 

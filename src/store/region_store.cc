@@ -3,11 +3,20 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/file_io.h"
+
 namespace openapi::store {
 
 Result<std::unique_ptr<RegionStore>> RegionStore::Open(
     const std::string& path, size_t dim, size_t num_classes) {
   RegionDirectory directory(dim);
+  // Every frame is one record, so the file size bounds the entry count
+  // (the header is smaller than a frame, so this overshoots by at most
+  // one).
+  if (Result<uint64_t> size = util::FileSizeOf(path); size.ok()) {
+    directory.Reserve(
+        static_cast<size_t>(*size / RecordFrameSize(dim, num_classes)));
+  }
   uint32_t max_record_epoch = 0;
   auto log = RegionLog::Open(
       path, dim, num_classes,

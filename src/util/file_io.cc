@@ -31,11 +31,6 @@ Status WriteStringToFile(const std::string& path,
   return file.Close();
 }
 
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
 Result<uint64_t> FileSizeOf(const std::string& path) {
   struct stat st;
   if (::stat(path.c_str(), &st) != 0) {

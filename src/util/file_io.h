@@ -36,8 +36,6 @@ Result<std::string> ReadFileToString(const std::string& path);
 /// flush). Callers needing crash-safe appends use File in kAppend mode.
 Status WriteStringToFile(const std::string& path, const std::string& content);
 
-bool FileExists(const std::string& path);
-
 /// Size in bytes; NotFound when the file does not exist.
 Result<uint64_t> FileSizeOf(const std::string& path);
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "openapi/openapi.h"
+#include "util/string_util.h"
 
 namespace openapi {
 namespace {
@@ -33,8 +34,10 @@ struct NetSpec {
 };
 
 std::string SpecName(const ::testing::TestParamInfo<NetSpec>& info) {
-  std::string name = "d" + std::to_string(info.param.dim) + "c" +
-                     std::to_string(info.param.num_classes) + "h";
+  // StrFormat, not "d" + std::to_string(...): GCC 12 reports a false
+  // -Wrestrict inside libstdc++ for a literal + std::string&&.
+  std::string name = util::StrFormat("d%zuc%zuh", info.param.dim,
+                                     info.param.num_classes);
   for (size_t h : info.param.hidden) name += std::to_string(h) + "_";
   if (info.param.hidden.empty()) name += "0_";
   name.pop_back();

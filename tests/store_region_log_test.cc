@@ -280,6 +280,33 @@ TEST(RegionLogTest, NonLogFileRefusesToOpen) {
   EXPECT_TRUE(RegionLog::Open(path, 4, 3).status().IsIoError());
 }
 
+TEST(RegionLogTest, ZeroLengthFileOpensAsFreshLog) {
+  // A crash between creating the file and flushing its header leaves it
+  // empty. That must not wedge the namespace: the file holds no records,
+  // so it opens as a fresh log and gets its header.
+  const std::string path = TempPath("empty.rlog");
+  ASSERT_TRUE(util::WriteStringToFile(path, "").ok());
+  const size_t dim = 3, num_classes = 2;
+  {
+    auto log = RegionLog::Open(path, dim, num_classes);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    EXPECT_EQ((*log)->record_count(), 0u);
+    EXPECT_EQ((*log)->recovery_stats().bytes_truncated, 0u);
+    Result<uint64_t> offset = (*log)->Append(MakeRecord(dim, num_classes, 3));
+    ASSERT_TRUE(offset.ok());
+    EXPECT_EQ(*offset, kHeaderBytes);
+    ASSERT_TRUE((*log)->Flush().ok());
+  }
+  std::vector<RegionRecord> replayed;
+  auto log = RegionLog::Open(
+      path, dim, num_classes,
+      [&](uint64_t, const RegionRecord& record) { replayed.push_back(record); });
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_EQ(replayed.size(), 1u);
+  ExpectBitIdentical(MakeRecord(dim, num_classes, 3), replayed[0], dim,
+                     num_classes);
+}
+
 TEST(RegionLogTest, ReadAtRejectsBogusOffsets) {
   const std::string path = TempPath("readat.rlog");
   (void)util::RemoveFile(path);  // best-effort scratch cleanup

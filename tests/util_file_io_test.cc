@@ -29,9 +29,8 @@ TEST(FileIoTest, WriteReadRoundTrip) {
   Result<uint64_t> size = FileSizeOf(path);
   ASSERT_TRUE(size.ok());
   EXPECT_EQ(*size, 11u);
-  EXPECT_TRUE(FileExists(path));
   ASSERT_TRUE(RemoveFile(path).ok());
-  EXPECT_FALSE(FileExists(path));
+  EXPECT_TRUE(FileSizeOf(path).status().IsNotFound());
 }
 
 TEST(FileIoTest, MissingPathIsNotFound) {
