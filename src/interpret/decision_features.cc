@@ -40,22 +40,16 @@ void SampleHypercube(const Vec& x0, double r, size_t count, util::Rng* rng,
 
 Matrix BuildCoefficientMatrix(const Vec& x0,
                               const std::vector<Vec>& probes) {
-  Matrix a;
-  BuildCoefficientMatrix(x0, probes, &a);
-  return a;
-}
-
-void BuildCoefficientMatrix(const Vec& x0, const std::vector<Vec>& probes,
-                            Matrix* a) {
   const size_t d = x0.size();
-  a->Resize(probes.size() + 1, d + 1);
-  (*a)(0, 0) = 1.0;
-  for (size_t j = 0; j < d; ++j) (*a)(0, j + 1) = x0[j];
+  Matrix a(probes.size() + 1, d + 1);
+  a(0, 0) = 1.0;
+  for (size_t j = 0; j < d; ++j) a(0, j + 1) = x0[j];
   for (size_t i = 0; i < probes.size(); ++i) {
     OPENAPI_CHECK_EQ(probes[i].size(), d);
-    (*a)(i + 1, 0) = 1.0;
-    for (size_t j = 0; j < d; ++j) (*a)(i + 1, j + 1) = probes[i][j];
+    a(i + 1, 0) = 1.0;
+    for (size_t j = 0; j < d; ++j) a(i + 1, j + 1) = probes[i][j];
   }
+  return a;
 }
 
 Result<double> LogOdds(const Vec& y, size_t c, size_t c_prime) {
@@ -137,8 +131,21 @@ api::LocalLinearModel CanonicalModelFromPairs(
 uint64_t LocalModelFingerprint(const api::LocalLinearModel& model,
                                double resolution) {
   OPENAPI_CHECK_GT(resolution, 0.0);
-  double scale =
-      std::max(model.weights.MaxAbs(), linalg::NormInf(model.bias));
+  const Matrix& w = model.weights;
+  const size_t rows = w.rows();
+  const size_t cols = w.cols();
+  // Pin the softmax gauge in place: hash W - W(:,0) 1^T and b - b[0], the
+  // canonical form of the model. A canonical input has a zero column 0
+  // and bias[0] == 0, so its entries pass through bit-unchanged.
+  const double b0 = model.bias.empty() ? 0.0 : model.bias[0];
+  double scale = 0.0;
+  for (size_t j = 0; j < rows; ++j) {
+    const double* row = w.RowPtr(j);
+    for (size_t c = 0; c < cols; ++c) {
+      scale = std::max(scale, std::fabs(row[c] - row[0]));
+    }
+  }
+  for (double b : model.bias) scale = std::max(scale, std::fabs(b - b0));
   if (scale == 0.0) scale = 1.0;
   const double quantum = scale * resolution;
   uint64_t h = 1469598103934665603ULL;
@@ -146,14 +153,17 @@ uint64_t LocalModelFingerprint(const api::LocalLinearModel& model,
     h ^= static_cast<uint64_t>(v);
     h *= 1099511628211ULL;
   };
-  for (double w : model.weights.data()) {
-    mix(static_cast<int64_t>(std::llround(w / quantum)));
+  for (size_t j = 0; j < rows; ++j) {
+    const double* row = w.RowPtr(j);
+    for (size_t c = 0; c < cols; ++c) {
+      mix(static_cast<int64_t>(std::llround((row[c] - row[0]) / quantum)));
+    }
   }
   for (double b : model.bias) {
-    mix(static_cast<int64_t>(std::llround(b / quantum)));
+    mix(static_cast<int64_t>(std::llround((b - b0) / quantum)));
   }
-  mix(static_cast<int64_t>(model.weights.rows()));
-  mix(static_cast<int64_t>(model.weights.cols()));
+  mix(static_cast<int64_t>(rows));
+  mix(static_cast<int64_t>(cols));
   return h;
 }
 

@@ -73,7 +73,7 @@ std::vector<Vec> SampleHypercube(const Vec& x0, double r, size_t count,
 
 /// SampleHypercube's write-into sibling: overwrites *out with the same
 /// draws (identical rng consumption order), reusing its buffers — the
-/// shrink loop's allocation-free probe redraw.
+/// saturated shrink loop's allocation-free probe redraw.
 void SampleHypercube(const Vec& x0, double r, size_t count, util::Rng* rng,
                      std::vector<Vec>* out);
 
@@ -81,12 +81,6 @@ void SampleHypercube(const Vec& x0, double r, size_t count, util::Rng* rng,
 /// one row [1, p^T] per point, in the order {x0, probes...}. Shape:
 /// (probes.size()+1) x (d+1); column 0 carries the bias coefficient.
 Matrix BuildCoefficientMatrix(const Vec& x0, const std::vector<Vec>& probes);
-
-/// BuildCoefficientMatrix's write-into sibling; *a is resized in place
-/// (no allocation once its capacity covers the request's largest probe
-/// set) and every entry overwritten.
-void BuildCoefficientMatrix(const Vec& x0, const std::vector<Vec>& probes,
-                            Matrix* a);
 
 /// ln(y_c / y_{c'}) for one prediction vector. Fails with NumericalError if
 /// either probability is non-positive (softmax underflow at the API).
@@ -122,10 +116,17 @@ std::vector<CoreParameters> ConvertReferencePairs(
 api::LocalLinearModel CanonicalModelFromPairs(
     const std::vector<CoreParameters>& pairs, size_t d);
 
-/// Quantized FNV hash of a canonical model. Quantization is relative to
-/// the model's own scale, so the fingerprint is stable under ~1e-10 solver
-/// noise but distinguishes real regions; two extractions of one region
-/// fingerprint identically, enabling black-box region deduplication.
+/// Quantized FNV hash of a model's canonical form. The softmax gauge is
+/// pinned inside the hash (weight column 0 and bias[0] are subtracted
+/// from every column and bias entry, without materializing the canonical
+/// model), so any model and its canonical form — an imported white-box
+/// model and an extraction of the same region — hash alike. A canonical
+/// input's entries enter the hash bit-unchanged, so fingerprints already
+/// persisted in a region log keep matching.
+/// Quantization is relative to the model's own scale, so the fingerprint
+/// is stable under ~1e-10 solver noise but distinguishes real regions;
+/// two extractions of one region fingerprint identically, enabling
+/// black-box region deduplication.
 uint64_t LocalModelFingerprint(const api::LocalLinearModel& model,
                                double resolution);
 

@@ -410,8 +410,11 @@ size_t EndpointSession::EvictOneLocked(
   victim.anchor = Vec{};
   victim.occupied = false;
   victim.hits.store(0, std::memory_order_relaxed);
-  if (evicted_fingerprints_.size() > 8 * capacity_ + 64) {
-    evicted_fingerprints_.clear();  // bounded classification memory
+  // Bounded classification memory, sized from the count cap or, in a
+  // byte-budget-only session, from the slots the cache occupies.
+  const size_t tracked = capacity_ > 0 ? capacity_ : OccupiedLocked();
+  if (evicted_fingerprints_.size() > 8 * tracked + 64) {
+    evicted_fingerprints_.clear();
   }
   evicted_fingerprints_.insert(victim_fingerprint);
   Bump(&StatCounters::evictions);

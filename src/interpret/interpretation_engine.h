@@ -708,8 +708,10 @@ class EndpointSession
       GUARDED_BY(cache_mutex_);
   mutable std::unordered_map<PointKey, size_t, PairHash> point_memo_
       GUARDED_BY(cache_mutex_);
-  /// Fingerprints of evicted regions, kept (bounded) to classify their
-  /// re-extraction as kEvictedRefetch.
+  /// Fingerprints of evicted regions, kept to classify their
+  /// re-extraction as kEvictedRefetch. Cleared once it holds more than
+  /// 8 * (capacity_, or the occupied-slot count when capacity_ is 0) + 64
+  /// entries.
   mutable std::unordered_set<uint64_t> evicted_fingerprints_
       GUARDED_BY(cache_mutex_);
   mutable size_t clock_hand_ GUARDED_BY(cache_mutex_) = 0;

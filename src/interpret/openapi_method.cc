@@ -27,18 +27,42 @@ void EnsurePairShapes(SolverWorkspace* ws, size_t num_classes) {
   ws->ref_pairs.resize(num_classes - 1);
 }
 
-/// Fast path (no saturation at x0): one shared QR factorization for all
-/// C-1 systems over the full row set {x0, probes...}. Works entirely out
-/// of the workspace (coefficient matrix, rhs, QR storage, pair buffers);
-/// on success the solved pairs sit in ws->ref_pairs. Returns false when
-/// the probe set is degenerate, a probe saturated, or any pair is
-/// inconsistent — all of which mean "shrink and redraw".
-bool SolvePairsSharedQr(const Vec& x0, size_t ref, size_t num_classes,
-                        double tol, SolverWorkspace* ws) {
-  BuildCoefficientMatrix(x0, ws->probes, &ws->coefficients);
-  if (!ws->qr.Refactor(ws->coefficients).ok()) {
-    return false;  // degenerate probes (probability 0)
+/// Draws the request's d+1 probe directions u_i uniformly from [-1,1]^d
+/// into *directions as [1|U]: row 0 = [1, 0^T] (the x0 row), row i+1 =
+/// [1, u_i^T].
+void DrawDirections(size_t d, util::Rng* rng, Matrix* directions) {
+  directions->Resize(d + 2, d + 1);
+  (*directions)(0, 0) = 1.0;
+  for (size_t j = 0; j < d; ++j) (*directions)(0, j + 1) = 0.0;
+  for (size_t i = 1; i < d + 2; ++i) {
+    (*directions)(i, 0) = 1.0;
+    for (size_t j = 0; j < d; ++j) {
+      (*directions)(i, j + 1) = rng->Uniform(-1.0, 1.0);
+    }
   }
+}
+
+/// The iteration's probes x0 + r*u_i, one per direction row, into
+/// *probes (rows reused).
+void ProbesAlongDirections(const Vec& x0, double r, const Matrix& directions,
+                           std::vector<Vec>* probes) {
+  const size_t d = x0.size();
+  probes->resize(directions.rows() - 1);
+  for (size_t i = 0; i < probes->size(); ++i) {
+    Vec& p = (*probes)[i];
+    p.resize(d);
+    const double* u = directions.RowPtr(i + 1) + 1;
+    for (size_t j = 0; j < d; ++j) p[j] = x0[j] + r * u[j];
+  }
+}
+
+/// Unsaturated path: all C-1 systems against the request's one direction
+/// factorization (ws->qr). On success the solved pairs sit in
+/// ws->ref_pairs. Returns false when a probe saturated or any pair is
+/// inconsistent — both mean "shrink".
+bool SolvePairsAlongDirections(const Vec& x0, double r, size_t ref,
+                               size_t num_classes, double tol,
+                               SolverWorkspace* ws) {
   EnsurePairShapes(ws, num_classes);
   size_t out = 0;
   for (size_t c_prime = 0; c_prime < num_classes; ++c_prime) {
@@ -46,11 +70,11 @@ bool SolvePairsSharedQr(const Vec& x0, size_t ref, size_t num_classes,
     if (!BuildLogOddsRhs(ws->predictions, ref, c_prime, &ws->rhs).ok()) {
       return false;  // probe saturation: shrink, retry
     }
-    ws->qr.Solve(ws->rhs, &ws->qr_scratch, &ws->solution);
-    if (!linalg::IsConsistent(ws->solution, ws->rhs, tol)) return false;
-    CoreParameters& pair = ws->ref_pairs[out++];
-    pair.b = ws->solution.x[0];
-    pair.d.assign(ws->solution.x.begin() + 1, ws->solution.x.end());
+    if (!SolvePairAlongDirections(ws->qr, x0, r, ws->rhs, tol,
+                                  &ws->qr_scratch, &ws->solution,
+                                  &ws->ref_pairs[out++])) {
+      return false;
+    }
   }
   return true;
 }
@@ -105,6 +129,7 @@ MaskedOutcome SolvePairsMaskedRows(const Vec& x0, size_t ref,
       OPENAPI_CHECK(odds.ok());  // finite by the mask above
       rhs[k] = *odds;
     }
+    ++ws->factorizations;
     if (!ws->qr.Refactor(a).ok()) return MaskedOutcome::kShrink;
     ws->qr.Solve(rhs, &ws->qr_scratch, &ws->solution);
     if (!linalg::IsConsistent(ws->solution, rhs, tol)) {
@@ -140,6 +165,28 @@ size_t MaxPairRowDeficit(const std::vector<Vec>& predictions, size_t ref,
 
 }  // namespace
 
+bool SolvePairAlongDirections(const linalg::QrDecomposition& direction_qr,
+                              const Vec& x0, double r, const Vec& rhs,
+                              double tol,
+                              linalg::QrDecomposition::Scratch* scratch,
+                              linalg::LeastSquaresSolution* solution,
+                              CoreParameters* pair) {
+  const size_t d = x0.size();
+  OPENAPI_CHECK_EQ(direction_qr.cols(), d + 1);
+  direction_qr.Solve(rhs, scratch, solution);
+  if (!linalg::IsConsistent(*solution, rhs, tol)) return false;
+  // phi = T_r * theta with T_r = [[1, x0^T], [0, r*I]]: undo it.
+  const Vec& phi = solution->x;
+  pair->d.resize(d);
+  double b = phi[0];
+  for (size_t j = 0; j < d; ++j) {
+    pair->d[j] = phi[j + 1] / r;
+    b -= x0[j] * pair->d[j];
+  }
+  pair->b = b;
+  return true;
+}
+
 void SolverWorkspace::Clear() {
   // Empty each row IN PLACE: vector::clear() on the outer vectors would
   // destroy the row Vecs and free their buffers, defeating the reuse.
@@ -154,9 +201,8 @@ void SolverWorkspace::Clear() {
   qr_scratch.ax.clear();
   masked_rows.clear();
   masked_rhs.clear();
-  // Matrix::Resize keeps the data vector's capacity; the QR object keeps
-  // its factorization storage outright (Refactor overwrites it wholesale).
-  coefficients.Resize(0, 0);
+  // Matrix::Resize keeps the data vector's capacity. `directions` and
+  // `qr` are request state (see the header) and stay as they are.
   masked_coefficients.Resize(0, 0);
 }
 
@@ -253,6 +299,10 @@ Result<Interpretation> OpenApiInterpreter::InterpretImpl(
     ws->predictions.reserve(2 * probes_per_iter + 1);
   }
 
+  ws->factorizations = 0;
+  // Unsaturated path: whether ws->directions holds this request's draw
+  // and ws->qr its factorization.
+  bool directions_factored = false;
   double r = config_.initial_edge;
   for (size_t iter = 0; iter < config_.max_iterations; ++iter) {
     if (!config_.reuse_workspace) {
@@ -262,7 +312,7 @@ Result<Interpretation> OpenApiInterpreter::InterpretImpl(
       // buffers to one request's config.
       ws->Clear();
     }
-    // Sample the iteration's probes; together with x0 they give the
+    // Place the iteration's probes; together with x0 they give the
     // equations of Ω (Algorithm 1 line 2). The controls gate comes
     // first: a request rejected here never started this iteration, so it
     // is not counted in *iterations. (This gate covers the WHOLE batch's
@@ -275,7 +325,23 @@ Result<Interpretation> OpenApiInterpreter::InterpretImpl(
     OPENAPI_RETURN_NOT_OK(
         CheckRequestControls(options, *consumed, probes_per_iter));
     *iterations = iter + 1;
-    SampleHypercube(x0, r, probes_per_iter, rng, &ws->probes);
+    if (x0_saturated) {
+      SampleHypercube(x0, r, probes_per_iter, rng, &ws->probes);
+    } else {
+      if (!directions_factored) {
+        // Draw and factor [1|U] before any probe is sent: a degenerate
+        // draw (probability 0) costs no queries; it shrinks like an
+        // inconsistent system and the next iteration redraws.
+        DrawDirections(d, rng, &ws->directions);
+        ++ws->factorizations;
+        if (!ws->qr.Refactor(ws->directions).ok()) {
+          r *= config_.shrink_factor;
+          continue;
+        }
+        directions_factored = true;
+      }
+      ProbesAlongDirections(x0, r, ws->directions, &ws->probes);
+    }
     // The iteration's probes go to the endpoint through the chunked
     // dispatch: one PredictBatch for unbounded requests, latency-sized
     // chunks with per-chunk control gates when a deadline or cancel
@@ -339,8 +405,8 @@ Result<Interpretation> OpenApiInterpreter::InterpretImpl(
           continue;
       }
     } else {
-      solved = SolvePairsSharedQr(x0, ref, num_classes,
-                                  config_.consistency_tol, ws);
+      solved = SolvePairsAlongDirections(x0, r, ref, num_classes,
+                                         config_.consistency_tol, ws);
       if (!solved) {
         r *= config_.shrink_factor;
         continue;

@@ -6,14 +6,33 @@
 // Ω_{d+2} is consistent, its unique solution equals the true core
 // parameters (D_{c,c'}, B_{c,c'}) with probability 1. If any pair's system
 // is inconsistent — the numerical signal that a probe crossed a region
-// boundary — the hypercube is halved and all probes are re-drawn, up to
-// `max_iterations` times.
+// boundary — the hypercube is halved and the probes are re-drawn, up to
+// `max_iterations` times (this implementation rescales one per-request
+// draw instead; see the first note below).
 //
 // Implementation notes beyond the paper's pseudocode:
-//  * All C-1 systems share the coefficient matrix A (rows [1, p^T]); we
-//    factor A once by Householder QR and reuse it for every right-hand
-//    side, turning O(C (d+2)^3) per iteration into O((d+2)^3 + C (d+2)^2).
-//    bench_ablation quantifies the win; correctness is unchanged.
+//  * Directions are drawn once per request, not once per iteration. The
+//    paper resamples d+1 probes at every shrink step; here the request
+//    draws d+1 directions U in [-1,1]^d once and probes x0 + r*U at every
+//    edge r. The coefficient matrix of Ω at edge r is then
+//    A_r = [1|U]·T_r with T_r = [[1, x0^T], [0, r*I]] upper-triangular
+//    and invertible, so every A_r has the column space of [1|U] (row 0,
+//    the x0 row, is [1, 0^T]). [1|U] is factored ONCE per request by
+//    Householder QR; each iteration solves its C-1 log-odds systems
+//    [1|U]*phi = rhs against that one factorization with the same
+//    exact-residual consistency test (the residual [1|U]*phi - rhs equals
+//    A_r*theta - rhs), and maps back through T_r: D = phi[1:]/r and
+//    b = phi[0] - x0·D. Per request this is one O((d+2)(d+1)^2)
+//    factorization plus O(C (d+2)(d+1)) per iteration, instead of a
+//    factorization per iteration. Exactness holds: at every edge
+//    r the probe set x0 + r*U is one continuous uniform draw from that
+//    r's hypercube, so Theorem 2's probability-0 argument holds at each
+//    of the countably many edges the loop tries. A degenerate direction
+//    draw (rank-deficient [1|U], probability 0) is detected before any
+//    probe is sent; the iteration shrinks the edge and the next one
+//    redraws. The saturated path below does not use the directions: it
+//    draws fresh probes every iteration and factors each pair's masked
+//    rows.
 //  * "Ω_{d+2} has a solution" becomes a residual test: the least-squares
 //    residual must satisfy ||A beta - rhs||_inf <= tol * (1 + ||rhs||_inf).
 //  * Softmax saturation at a probe (some probability underflowing to 0 away
@@ -53,12 +72,12 @@
 //    batch, and partial-chunk consumption stays exact against
 //    api.query_count().
 //  * The shrink loop runs out of a per-request SolverWorkspace (probe
-//    set, prediction buffer, coefficient matrix, QR storage + scratch,
+//    set, prediction buffer, direction matrix, QR storage + scratch,
 //    masked-row scratch) reused across iterations and across the
 //    saturated top-up path: after the first iteration the solver itself
-//    allocates nothing — redraws, refactorizations, and solves all
-//    overwrite the same buffers. OpenApiConfig::reuse_workspace turns the
-//    reuse off for benchmarking the win.
+//    allocates nothing — probe rescales, redraws, refactorizations, and
+//    solves all overwrite the same buffers. OpenApiConfig::reuse_workspace
+//    turns the reuse off for benchmarking the win.
 
 #ifndef OPENAPI_INTERPRET_OPENAPI_METHOD_H_
 #define OPENAPI_INTERPRET_OPENAPI_METHOD_H_
@@ -113,7 +132,10 @@ struct OpenApiConfig {
 struct SolverWorkspace {
   std::vector<Vec> probes;       // iteration's probe points
   std::vector<Vec> predictions;  // {y0, probe predictions...}
-  Matrix coefficients;           // shared coefficient matrix A
+  // Request state of the unsaturated path: [1|U], row 0 = [1, 0^T] for
+  // x0 and row i+1 = [1, u_i^T] for probe direction u_i, drawn once per
+  // request; `qr` holds its factorization for the whole request.
+  Matrix directions;
   Vec rhs;                       // per-pair log-odds right-hand side
   linalg::QrDecomposition qr;    // factorization storage
   linalg::QrDecomposition::Scratch qr_scratch;
@@ -123,15 +145,37 @@ struct SolverWorkspace {
   std::vector<size_t> masked_rows;  // usable-row index scratch
   Matrix masked_coefficients;
   Vec masked_rhs;
+  // QR factorizations the current request has performed (every
+  // Refactor, both paths); reset when a request starts.
+  size_t factorizations = 0;
 
   /// Resets logical sizes while keeping every heap block — including each
   /// probe/prediction ROW's buffer, which clearing the outer vectors
   /// would free. A Cleared workspace behaves like a fresh one but regrows
   /// nothing at its old shapes; the engine's workspace pool Clears
   /// between requests, and reuse_workspace = false Clears between
-  /// iterations.
+  /// iterations. The request state (`directions`, `qr`,
+  /// `factorizations`) is left alone: every request redraws and refactors
+  /// it when it starts, and a per-iteration Clear must not make the next
+  /// iteration redraw.
   void Clear();
 };
+
+/// Solves one log-odds system of the unsaturated shrink loop against the
+/// request's direction factorization. `direction_qr` factors [1|U] (see
+/// SolverWorkspace::directions); `rhs` holds the log-odds at the rows
+/// {x0, x0 + r*u_1, ...}. Solves [1|U]*phi = rhs, applies the
+/// exact-residual consistency test (linalg::IsConsistent with `tol`),
+/// and on success writes the pair in input coordinates, D = phi[1:]/r and
+/// b = phi[0] - x0·D, to *pair and returns true. Returns false (and
+/// leaves *pair unspecified) when the system is inconsistent. `scratch`
+/// and `solution` are reused buffers.
+bool SolvePairAlongDirections(const linalg::QrDecomposition& direction_qr,
+                              const Vec& x0, double r, const Vec& rhs,
+                              double tol,
+                              linalg::QrDecomposition::Scratch* scratch,
+                              linalg::LeastSquaresSolution* solution,
+                              CoreParameters* pair);
 
 class OpenApiInterpreter : public BlackBoxInterpreter {
  public:

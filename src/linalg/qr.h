@@ -4,8 +4,9 @@
 // Ω_{d+2} and deciding whether it is *consistent* (Theorem 2: consistency
 // certifies that the solution equals the true core parameters with
 // probability 1). QR gives both in one pass: the least-squares minimizer
-// and, from the residual, the consistency verdict. The factorization is
-// computed once per probe set and reused for all C-1 right-hand sides.
+// and, from the residual, the consistency verdict. The solver factors
+// once per request and reuses the factorization for all C-1 right-hand
+// sides of every shrink iteration (interpret/openapi_method.h).
 
 #ifndef OPENAPI_LINALG_QR_H_
 #define OPENAPI_LINALG_QR_H_

@@ -1,6 +1,9 @@
 // Tests for the reverse-engineering extension (src/extract): local model
 // extraction, fingerprinting, boundary probing, and the surrogate clone.
 
+#include <algorithm>
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "extract/boundary.h"
@@ -135,6 +138,81 @@ TEST(FingerprintTest, QuantizationAbsorbsSolverNoise) {
   LocalLinearModel different = model;
   different.weights(0, 0) += 0.1;
   EXPECT_NE(Fingerprint(model, 1e-6), Fingerprint(different, 1e-6));
+}
+
+/// Raw-entry hash: every stored entry quantized against the model's own
+/// scale, with no gauge pinning. Region logs hold fingerprints of
+/// canonical models, so a canonical model must hash exactly this way.
+uint64_t RawEntryFingerprint(const LocalLinearModel& model,
+                             double resolution) {
+  double scale =
+      std::max(model.weights.MaxAbs(), linalg::NormInf(model.bias));
+  if (scale == 0.0) scale = 1.0;
+  const double quantum = scale * resolution;
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](int64_t v) {
+    h ^= static_cast<uint64_t>(v);
+    h *= 1099511628211ULL;
+  };
+  for (double w : model.weights.data()) {
+    mix(static_cast<int64_t>(std::llround(w / quantum)));
+  }
+  for (double b : model.bias) {
+    mix(static_cast<int64_t>(std::llround(b / quantum)));
+  }
+  mix(static_cast<int64_t>(model.weights.rows()));
+  mix(static_cast<int64_t>(model.weights.cols()));
+  return h;
+}
+
+TEST(FingerprintTest, CanonicalModelsHashBitIdenticallyToRawEntries) {
+  util::Rng rng(31);
+  for (int trial = 0; trial < 50; ++trial) {
+    const size_t d = 1 + rng.Index(8);
+    const size_t num_classes = 2 + rng.Index(6);
+    std::vector<api::CoreParameters> pairs(num_classes - 1);
+    for (api::CoreParameters& pair : pairs) {
+      pair.d = rng.UniformVector(d, -3.0, 3.0);
+      pair.b = rng.Uniform(-3.0, 3.0);
+    }
+    const LocalLinearModel canonical =
+        interpret::CanonicalModelFromPairs(pairs, d);
+    for (double resolution : {1e-6, 1e-3}) {
+      EXPECT_EQ(Fingerprint(canonical, resolution),
+                RawEntryFingerprint(canonical, resolution))
+          << "trial " << trial;
+    }
+  }
+}
+
+TEST(FingerprintTest, GaugeShiftedModelHashesLikeItsCanonicalForm) {
+  // softmax(W^T x + b) does not change when one vector is added to every
+  // weight column and one scalar to every bias entry, so a white-box
+  // model and its canonical form are one region and must hash alike.
+  util::Rng rng(32);
+  for (int trial = 0; trial < 50; ++trial) {
+    const size_t d = 1 + rng.Index(8);
+    const size_t num_classes = 2 + rng.Index(6);
+    LocalLinearModel model;
+    model.weights = linalg::Matrix(d, num_classes);
+    for (size_t j = 0; j < d; ++j) {
+      for (size_t c = 0; c < num_classes; ++c) {
+        model.weights(j, c) = rng.Uniform(-2.0, 2.0);
+      }
+    }
+    model.bias = rng.UniformVector(num_classes, -2.0, 2.0);
+    LocalLinearModel canonical = model;
+    for (size_t j = 0; j < d; ++j) {
+      for (size_t c = 0; c < num_classes; ++c) {
+        canonical.weights(j, c) = model.weights(j, c) - model.weights(j, 0);
+      }
+    }
+    for (size_t c = 0; c < num_classes; ++c) {
+      canonical.bias[c] = model.bias[c] - model.bias[0];
+    }
+    EXPECT_EQ(Fingerprint(model, 1e-6), Fingerprint(canonical, 1e-6))
+        << "trial " << trial;
+  }
 }
 
 TEST(BoundaryTest, FindsBoundaryCrossedByRay) {

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <random>
+#include <sstream>
+
 #include "api/ground_truth.h"
 #include "data/synthetic.h"
 #include "eval/exactness.h"
+#include "linalg/least_squares.h"
 #include "lmt/lmt.h"
 #include "nn/plnn.h"
 
@@ -190,6 +195,159 @@ TEST_F(OpenApiPlnnTest, RoundedApiCannotProduceExactFeatures) {
     EXPECT_LT(linalg::Norm2(result->dc), 0.01 * linalg::Norm2(truth));
   } else {
     EXPECT_TRUE(result.status().IsDidNotConverge());
+  }
+}
+
+TEST_F(OpenApiPlnnTest, UnsaturatedRequestFactorsOnce) {
+  // The unsaturated path factors its direction matrix once per request,
+  // however many edges the shrink loop tries.
+  OpenApiInterpreter interpreter;
+  SolverWorkspace ws;
+  size_t multi_iteration_requests = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    Vec x0 = rng_.UniformVector(6, 0.05, 0.95);
+    uint64_t consumed = 0;
+    auto result = interpreter.InterpretCounted(api_, x0, trial % 3, &rng_,
+                                               &consumed, {}, nullptr,
+                                               nullptr, &ws);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(ws.factorizations, 1u) << "trial " << trial;
+    if (result->iterations >= 3) ++multi_iteration_requests;
+  }
+  EXPECT_GE(multi_iteration_requests, 5u);
+}
+
+/// Undoes y = x ^ ((x >> shift) & mask) (shift > 0) or
+/// y = x ^ ((x << -shift) & mask) (shift < 0), one of the invertible
+/// steps of the Mersenne Twister's output tempering.
+uint64_t UndoXorShift(uint64_t y, int shift, uint64_t mask) {
+  uint64_t x = y;
+  for (int i = 0; i < 64; ++i) {
+    x = y ^ ((shift > 0 ? x >> shift : x << -shift) & mask);
+  }
+  return x;
+}
+
+/// Loads `rng` with a std::mt19937_64 state whose next `count` outputs
+/// are 2^63 — Uniform(-1, 1) then returns exactly 0.0 — and whose later
+/// outputs are ordinary pseudo-random words. Uses libstdc++'s textual
+/// engine state: the 312 state words, then the next output's position.
+void RigZeroDraws(size_t count, util::Rng* rng) {
+  uint64_t word = uint64_t{1} << 63;  // untemper 2^63
+  word = UndoXorShift(word, 43, ~uint64_t{0});
+  word = UndoXorShift(word, -37, 0xfff7eee000000000ULL);
+  word = UndoXorShift(word, -17, 0x71d67fffeda60000ULL);
+  word = UndoXorShift(word, 29, 0x5555555555555555ULL);
+  std::mt19937_64 filler(77);
+  std::ostringstream state;
+  for (size_t i = 0; i < std::mt19937_64::state_size; ++i) {
+    state << (i < count ? word : filler()) << ' ';
+  }
+  state << 0;
+  std::istringstream in(state.str());
+  in >> rng->engine();
+}
+
+TEST_F(OpenApiPlnnTest, DegenerateDirectionDrawShrinksAndRedraws) {
+#ifndef __GLIBCXX__
+  GTEST_SKIP() << "rigs the engine through libstdc++'s state format";
+#else
+  // All-zero directions make [1|U] rank-deficient. The request must not
+  // fail: that iteration sends no probes, shrinks, and the next one
+  // redraws.
+  const size_t d = 6;
+  util::Rng rigged(1);
+  RigZeroDraws(d * (d + 1), &rigged);
+  {
+    util::Rng check = rigged;
+    for (size_t i = 0; i < d * (d + 1); ++i) {
+      ASSERT_EQ(check.Uniform(-1.0, 1.0), 0.0) << "draw " << i;
+    }
+    ASSERT_NE(check.Uniform(-1.0, 1.0), 0.0);
+  }
+  OpenApiInterpreter interpreter;
+  SolverWorkspace ws;
+  Vec x0 = rng_.UniformVector(d, 0.1, 0.9);
+  api_.ResetQueryCount();
+  uint64_t consumed = 0;
+  size_t iterations = 0;
+  auto result = interpreter.InterpretCounted(api_, x0, 0, &rigged, &consumed,
+                                             {}, &iterations, nullptr, &ws);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(ws.factorizations, 2u);
+  EXPECT_GE(result->iterations, 2u);
+  EXPECT_EQ(iterations, result->iterations);
+  EXPECT_LE(result->edge_length, 0.5);
+  // The degenerate iteration cost no probes.
+  EXPECT_EQ(consumed, 1 + (result->iterations - 1) * (d + 1));
+  EXPECT_EQ(api_.query_count(), consumed);
+  Vec truth = api::GroundTruthDecisionFeatures(net_.LocalModelAt(x0), 0);
+  EXPECT_LT(linalg::L1Distance(result->dc, truth), 1e-6);
+#endif
+}
+
+TEST(OpenApiDirectionSolveTest, MatchesFreshFactorizationAtEveryEdge) {
+  // One QR of [1|U] answers the system of every edge r: against a fresh
+  // QR of [1 | x0 + r*U] it gives the same pair and the same consistency
+  // verdict, down to r = 1e-6.
+  const size_t d = 8;
+  const double tol = OpenApiConfig{}.consistency_tol;
+  util::Rng rng(61);
+  for (int trial = 0; trial < 5; ++trial) {
+    Vec x0 = rng.UniformVector(d, 0.05, 0.95);
+    Matrix directions(d + 2, d + 1);
+    directions(0, 0) = 1.0;
+    for (size_t i = 1; i < d + 2; ++i) {
+      directions(i, 0) = 1.0;
+      for (size_t j = 0; j < d; ++j) {
+        directions(i, j + 1) = rng.Uniform(-1.0, 1.0);
+      }
+    }
+    auto direction_qr = linalg::QrDecomposition::Factor(directions);
+    ASSERT_TRUE(direction_qr.ok());
+    const Vec true_d = rng.UniformVector(d, -2.0, 2.0);
+    const double true_b = rng.Uniform(-2.0, 2.0);
+    for (double r : {1.0, 1e-2, 1e-4, 1e-6}) {
+      std::vector<Vec> probes(d + 1, x0);
+      for (size_t i = 0; i < d + 1; ++i) {
+        for (size_t j = 0; j < d; ++j) {
+          probes[i][j] += r * directions(i + 1, j + 1);
+        }
+      }
+      auto fresh_qr =
+          linalg::QrDecomposition::Factor(BuildCoefficientMatrix(x0, probes));
+      ASSERT_TRUE(fresh_qr.ok());
+      Vec consistent(d + 2);
+      consistent[0] = true_b + linalg::Dot(true_d, x0);
+      for (size_t i = 0; i < d + 1; ++i) {
+        consistent[i + 1] = true_b + linalg::Dot(true_d, probes[i]);
+      }
+      Vec inconsistent = consistent;
+      inconsistent[3] += 1e-4 * (1.0 + std::fabs(inconsistent[3]));
+      for (const Vec* rhs : {&consistent, &inconsistent}) {
+        const bool want_consistent = rhs == &consistent;
+        linalg::LeastSquaresSolution fresh = fresh_qr->Solve(*rhs);
+        EXPECT_EQ(linalg::IsConsistent(fresh, *rhs, tol), want_consistent)
+            << "fresh QR, r=" << r;
+        linalg::QrDecomposition::Scratch scratch;
+        linalg::LeastSquaresSolution solution;
+        CoreParameters pair;
+        EXPECT_EQ(SolvePairAlongDirections(*direction_qr, x0, r, *rhs, tol,
+                                           &scratch, &solution, &pair),
+                  want_consistent)
+            << "directions QR, r=" << r;
+        if (!want_consistent) continue;
+        const Vec fresh_d(fresh.x.begin() + 1, fresh.x.end());
+        const double scale_d = linalg::NormInf(fresh_d);
+        ASSERT_EQ(pair.d.size(), d);
+        for (size_t j = 0; j < d; ++j) {
+          EXPECT_NEAR(pair.d[j], fresh_d[j], 1e-8 * scale_d)
+              << "r=" << r << " j=" << j;
+        }
+        EXPECT_NEAR(pair.b, fresh.x[0], 1e-8 * (1.0 + std::fabs(fresh.x[0])))
+            << "r=" << r;
+      }
+    }
   }
 }
 

@@ -88,6 +88,12 @@ class GridPlm : public api::Plm {
 
   Vec NthCellCenter(size_t n) const { return CellCenter(n / k_, n % k_); }
 
+  /// The hidden model of cell n, as the white box holds it: column 0 of
+  /// the weights and bias[0] are not zero, so it is NOT canonical.
+  const api::LocalLinearModel& NthCellModel(size_t n) const {
+    return cells_[n];
+  }
+
  private:
   size_t CellOf(const Vec& x) const {
     auto axis = [this](double v) {
@@ -457,6 +463,76 @@ TEST(SessionEvictionTest, ReExtractionOfEvictedRegionIsClassified) {
   ASSERT_TRUE(refetch.result.ok());
   EXPECT_EQ(refetch.cache_outcome, CacheOutcome::kEvictedRefetch);
   EXPECT_EQ(session->stats().queries, api.query_count());
+}
+
+/// Imports cell 0's white-box (non-canonical) model into a session capped
+/// by bytes only, pushes `cold_cells` other regions through it, then asks
+/// for cell 0's anchor again. Returns the evictions the pressure caused.
+uint64_t ImportEvictAndRefetch(size_t cold_cells) {
+  const size_t d = 4, num_classes = 3, k = 16;
+  util::Rng model_rng(19);
+  GridPlm grid(d, num_classes, k, &model_rng);
+  api::PredictionApi api(&grid);
+  EngineConfig config;
+  config.num_threads = 1;
+  InterpretationEngine engine(config);
+
+  // Size the budget from one extracted region's resident bytes: about
+  // twenty regions fit.
+  uint64_t region_bytes = 0;
+  {
+    auto sizing = engine.OpenSession(api);
+    EXPECT_TRUE(sizing->Interpret({grid.NthCellCenter(1), 0}, 29, 0)
+                    .result.ok());
+    region_bytes = sizing->stats().cache_bytes;
+  }
+  SessionOptions options;
+  options.cache_capacity_bytes = 20 * region_bytes;
+  auto session = engine.OpenSession(api, options);
+  EXPECT_EQ(session->cache_capacity(), 0u);  // no count cap
+
+  const Vec anchor = grid.NthCellCenter(0);
+  const double half_edge = 0.25 / static_cast<double>(k);
+  EXPECT_TRUE(
+      session->ImportRegion(grid.NthCellModel(0), anchor, half_edge).ok());
+  uint64_t stream = 1;
+  for (size_t cell = 1; cell <= cold_cells; ++cell) {
+    auto response =
+        session->Interpret({grid.NthCellCenter(cell), 0}, 29, stream++);
+    EXPECT_TRUE(response.result.ok()) << "cell " << cell;
+  }
+  const uint64_t evictions = session->stats().evictions;
+
+  // The imported region was evicted, so its anchor is re-extracted. The
+  // extraction yields the canonical model of the same region: the
+  // session must recognise the refetch...
+  auto refetch = session->Interpret({anchor, 0}, 29, stream++);
+  EXPECT_TRUE(refetch.result.ok());
+  EXPECT_EQ(refetch.cache_outcome, CacheOutcome::kEvictedRefetch)
+      << "after " << evictions << " evictions";
+  // ...and importing the white-box model again must land on the slot the
+  // extraction filled instead of caching the region twice.
+  const size_t cached = session->cache_size();
+  const uint64_t evictions_before_import = session->stats().evictions;
+  EXPECT_TRUE(
+      session->ImportRegion(grid.NthCellModel(0), anchor, half_edge).ok());
+  EXPECT_EQ(session->cache_size(), cached);
+  EXPECT_EQ(session->stats().evictions, evictions_before_import);
+  return evictions;
+}
+
+TEST(SessionEvictionTest, ImportedRegionRefetchIsClassifiedUnderByteBudget) {
+  const uint64_t evictions = ImportEvictAndRefetch(/*cold_cells=*/40);
+  EXPECT_GT(evictions, 0u);
+  EXPECT_LT(evictions, 65u);
+}
+
+TEST(SessionEvictionTest, RefetchIsClassifiedAfterManyByteBudgetEvictions) {
+  // Past 8 * 0 + 64 evictions: a byte-budget-only session must bound its
+  // evicted-fingerprint memory by what it holds, not by its (absent)
+  // count cap.
+  const uint64_t evictions = ImportEvictAndRefetch(/*cold_cells=*/180);
+  EXPECT_GT(evictions, 130u);
 }
 
 // ---------------------------------------------------------------------------

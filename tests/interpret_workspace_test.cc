@@ -24,6 +24,13 @@
 
 namespace {
 thread_local uint64_t g_thread_allocs = 0;
+
+// Every replacement delete releases through this one out-of-line call.
+// Inlined into a caller of operator new, a bare free() is reported by
+// GCC's -Wmismatched-new-delete (at -O1, as in the sanitizer builds),
+// although replacing the global new and delete with malloc and free is
+// what the standard allows.
+[[gnu::noinline]] void ReleaseBlock(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -44,17 +51,19 @@ void* operator new(std::size_t size, std::align_val_t align_val) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { ReleaseBlock(p); }
+void operator delete(void* p, std::size_t) noexcept { ReleaseBlock(p); }
+void operator delete[](void* p) noexcept { ReleaseBlock(p); }
+void operator delete[](void* p, std::size_t) noexcept { ReleaseBlock(p); }
+void operator delete(void* p, std::align_val_t) noexcept { ReleaseBlock(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  ReleaseBlock(p);
 }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept {
+  ReleaseBlock(p);
+}
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  ReleaseBlock(p);
 }
 
 namespace openapi::interpret {
@@ -110,7 +119,8 @@ TEST(SolverWorkspaceClearTest, ClearKeepsEveryGrownBuffer) {
   for (const Vec& p : ws.probes) EXPECT_TRUE(p.empty());
   for (const Vec& y : ws.predictions) EXPECT_TRUE(y.empty());
   EXPECT_TRUE(ws.rhs.empty());
-  EXPECT_EQ(ws.coefficients.rows(), 0u);
+  // ...except the request state, which a per-iteration Clear must keep.
+  EXPECT_EQ(ws.directions.rows(), d + 2);
   // ...but the rows themselves and their heap blocks survive: resizing
   // back within capacity must land on the SAME storage.
   ASSERT_EQ(ws.probes.size(), d + 1);
@@ -157,7 +167,7 @@ TEST(SolverWorkspaceReuseTest, SecondRequestPerformsZeroSolverAllocations) {
   for (const Vec& p : ws.probes) probe_ptrs.push_back(p.data());
   for (const Vec& y : ws.predictions) prediction_ptrs.push_back(y.data());
   const double* rhs_ptr = ws.rhs.data();
-  const double* coeff_ptr = ws.coefficients.data().data();
+  const double* directions_ptr = ws.directions.data().data();
 
   const uint64_t second = run(b);
   const uint64_t third = run(c);
@@ -172,7 +182,7 @@ TEST(SolverWorkspaceReuseTest, SecondRequestPerformsZeroSolverAllocations) {
         << "prediction row " << i;
   }
   EXPECT_EQ(ws.rhs.data(), rhs_ptr);
-  EXPECT_EQ(ws.coefficients.data().data(), coeff_ptr);
+  EXPECT_EQ(ws.directions.data().data(), directions_ptr);
 
   // And the heap agrees: the first request paid the workspace growth on
   // top of the identical per-request work (endpoint response vectors,
