@@ -17,17 +17,16 @@
 //     REQUESTS (the engine workspace pool's steady state: zero solver
 //     allocations after the first request) vs a request-local workspace
 //     that regrows every request (the old engine miss path).
-//   * InterpretDispatch{Chunked,Unchunked} — a deadlined request (far
+//   * InterpretDispatchChunked       — a deadlined request (far
 //     deadline, so every batch passes through the chunk planner and the
-//     predictive gates) vs ChunkedDispatchConfig::enabled = false (one
-//     PredictBatch per batch, the pre-chunking dispatch). The acceptance
-//     bar is overhead < 3% on fast endpoints — chunk planning must be in
-//     the noise.
+//     predictive gates); compare with InterpretWorkspacePooled, the same
+//     request without a deadline (one PredictBatch per batch). Chunk
+//     planning must be in the noise on fast endpoints.
 //   * InterpretEndToEnd              — the headline number: uncached
 //     interpretations/sec straight through OpenApiInterpreter (fresh x0
-//     every iteration, no engine cache), SIMD + pooled workspace +
-//     chunked dispatch (the shipped default) vs the scalar reference
-//     kernels with per-request allocation and unchunked dispatch.
+//     every iteration, no engine cache), SIMD + pooled workspace (the
+//     shipped default) vs the scalar reference kernels with per-request
+//     allocation.
 
 #include <benchmark/benchmark.h>
 
@@ -199,8 +198,7 @@ BENCHMARK(PlnnForwardBatch)->Arg(32)->Arg(128)->Arg(256)->Arg(512)->Arg(2048);
 // --- Solver workspace pooling and chunked dispatch. ---
 
 void InterpretLoop(benchmark::State& state, linalg::KernelPolicy policy,
-                   bool pooled_workspace, bool chunked_dispatch,
-                   bool with_deadline) {
+                   bool pooled_workspace, bool with_deadline) {
   // The paper-scale solver workload: d = 64, C = 10, so one shrink
   // iteration forwards a 65-probe batch through a 64-128-64-10 net and
   // solves a 66 x 65 system for 9 right-hand sides.
@@ -210,9 +208,7 @@ void InterpretLoop(benchmark::State& state, linalg::KernelPolicy policy,
   }();
   static api::PredictionApi* api = new api::PredictionApi(net);
   PolicyGuard guard(policy);
-  interpret::OpenApiConfig config;
-  config.dispatch.enabled = chunked_dispatch;
-  interpret::OpenApiInterpreter interpreter(config);
+  interpret::OpenApiInterpreter interpreter;
   // Cross-request workspace, the engine pool's steady state: request 1
   // grows it, every later request runs allocation-free in the solver.
   interpret::SolverWorkspace pooled;
@@ -236,44 +232,32 @@ void InterpretLoop(benchmark::State& state, linalg::KernelPolicy policy,
 }
 void InterpretWorkspacePooled(benchmark::State& state) {
   InterpretLoop(state, linalg::KernelPolicy::kSimd,
-                /*pooled_workspace=*/true, /*chunked_dispatch=*/true,
-                /*with_deadline=*/false);
+                /*pooled_workspace=*/true, /*with_deadline=*/false);
 }
 void InterpretWorkspacePerRequest(benchmark::State& state) {
   InterpretLoop(state, linalg::KernelPolicy::kSimd,
-                /*pooled_workspace=*/false, /*chunked_dispatch=*/true,
-                /*with_deadline=*/false);
+                /*pooled_workspace=*/false, /*with_deadline=*/false);
 }
-// Chunked-vs-unchunked dispatch on a fast endpoint: the chunk planner's
-// overhead (clock reads, EWMA update, per-chunk gates) must be in the
-// noise (< 3%).
+// Chunked dispatch on a fast endpoint: the chunk planner's overhead
+// (clock reads, EWMA update, per-chunk gates) against
+// InterpretWorkspacePooled must be in the noise (< 3%).
 void InterpretDispatchChunked(benchmark::State& state) {
   InterpretLoop(state, linalg::KernelPolicy::kSimd,
-                /*pooled_workspace=*/true, /*chunked_dispatch=*/true,
-                /*with_deadline=*/true);
-}
-void InterpretDispatchUnchunked(benchmark::State& state) {
-  InterpretLoop(state, linalg::KernelPolicy::kSimd,
-                /*pooled_workspace=*/true, /*chunked_dispatch=*/false,
-                /*with_deadline=*/true);
+                /*pooled_workspace=*/true, /*with_deadline=*/true);
 }
 // The headline end-to-end pair: everything on (the shipped default) vs
-// the pre-PR configuration (scalar kernels, per-request allocation,
-// unchunked dispatch).
+// the scalar kernels with per-request allocation.
 void InterpretEndToEnd(benchmark::State& state) {
   InterpretLoop(state, linalg::KernelPolicy::kSimd,
-                /*pooled_workspace=*/true, /*chunked_dispatch=*/true,
-                /*with_deadline=*/false);
+                /*pooled_workspace=*/true, /*with_deadline=*/false);
 }
 void InterpretEndToEndPrePr(benchmark::State& state) {
   InterpretLoop(state, linalg::KernelPolicy::kReference,
-                /*pooled_workspace=*/false, /*chunked_dispatch=*/false,
-                /*with_deadline=*/false);
+                /*pooled_workspace=*/false, /*with_deadline=*/false);
 }
 BENCHMARK(InterpretWorkspacePooled);
 BENCHMARK(InterpretWorkspacePerRequest);
 BENCHMARK(InterpretDispatchChunked);
-BENCHMARK(InterpretDispatchUnchunked);
 BENCHMARK(InterpretEndToEnd);
 BENCHMARK(InterpretEndToEndPrePr);
 

@@ -54,7 +54,7 @@ case "$mode" in
     cd build-tsan && ctest -L 'concurrent|fault' --output-on-failure -j 2
     ;;
   *)
-    echo "usage: $0 [--lint|--asan|--tsan]" >&2
+    echo "usage: $0 [--lint|--analyze|--asan|--tsan]" >&2
     exit 2
     ;;
 esac

@@ -578,10 +578,6 @@ bool EndpointSession::ReloadFromStore(
 Result<size_t> EndpointSession::ImportRegion(api::LocalLinearModel model,
                                              const Vec& anchor,
                                              double edge_length) const {
-  if (!engine_->config().use_region_cache) {
-    return Status::FailedPrecondition(
-        "region cache disabled: nothing to import into");
-  }
   if (anchor.size() != api_->dim() ||
       model.bias.size() != api_->num_classes() ||
       model.weights.rows() != api_->dim() ||
@@ -654,17 +650,14 @@ Result<Interpretation> EndpointSession::InterpretCached(
 
   // 2. Candidate scan: one batched request (x0 + validation probe) decides
   //    every cached region at once. It costs 2 queries, so it is gated on
-  //    the request's budget/deadline/cancellation first — predictively,
-  //    when chunked dispatch is on: this is the request's first endpoint
-  //    traffic, so a deadline the estimated pair latency already blows
-  //    rejects here with queries == 0 (a memoized repeat above still
-  //    serves for free). The pair is timed into the endpoint's latency
-  //    estimate like any probe chunk.
-  const ChunkedDispatchConfig& dispatch = config.openapi.dispatch;
-  const double pair_row_latency =
-      dispatch.enabled ? EffectiveRowLatency(*api_, dispatch) : 0.0;
-  OPENAPI_RETURN_NOT_OK(EnforceRequestOptions(options, *consumed, 2,
-                                              2.0 * pair_row_latency));
+  //    the request's budget/deadline/cancellation first — predictively:
+  //    this is the request's first endpoint traffic, so a deadline the
+  //    estimated pair latency already blows rejects here with
+  //    queries == 0 (a memoized repeat above still serves for free). The
+  //    pair is timed into the endpoint's latency estimate like any probe
+  //    chunk.
+  OPENAPI_RETURN_NOT_OK(EnforceRequestOptions(
+      options, *consumed, 2, 2.0 * EffectiveRowLatency(*api_)));
   Vec probe =
       SampleHypercube(x0, config.validation_edge, /*count=*/1, rng)[0];
   // The pair goes through the retry-aware dispatch path, so a transient
@@ -673,7 +666,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
   // retry_stats — accounting stays exact against api.query_count().
   std::vector<Vec> pair_points{x0, probe};
   std::vector<Vec> pair(2);
-  OPENAPI_RETURN_NOT_OK(DispatchProbes(*api_, pair_points, options, dispatch,
+  OPENAPI_RETURN_NOT_OK(DispatchProbes(*api_, pair_points, options,
                                        consumed, &pair, /*out_offset=*/0,
                                        retry_stats));
   const Vec& y0 = pair[0];
@@ -705,14 +698,15 @@ Result<Interpretation> EndpointSession::InterpretCached(
   size_t slot = FindMatchingRegion(x0, y0, probe, y_probe, argmax);
   if (slot != kNoSlot) {
     // A racing ClearCache or eviction may have dropped (or refilled) the
-    // slot between the scan and here, so copy under the lock with a
-    // bounds check and re-validate the copy against the API output
-    // before trusting it.
+    // slot between the scan and here, so copy under the lock only a slot
+    // that is still there and occupied — an evicted slot holds an empty
+    // model — and re-validate the copy against the API output before
+    // trusting it.
     std::optional<api::LocalLinearModel> model;
     uint64_t fingerprint = 0;
     {
       util::ReaderMutexLock lock(cache_mutex_);
-      if (slot < regions_.size()) {
+      if (slot < regions_.size() && regions_[slot].occupied) {
         fingerprint = regions_[slot].fingerprint;
         model = regions_[slot].model;
       }
@@ -837,15 +831,6 @@ Result<Interpretation> EndpointSession::Serve(
   // is rejected before it touches the cache or the endpoint.
   OPENAPI_RETURN_NOT_OK(CheckRequestControls(request.options, 0, 0));
   util::Rng rng(util::Rng::MixSeed(seed, stream));
-  if (!engine_->config().use_region_cache) {
-    OpenApiInterpreter interpreter(engine_->config().openapi);
-    Bump(&StatCounters::cache_misses);  // attempted a full solve
-    InterpretationEngine::WorkspaceLease lease(*engine_);
-    return interpreter.InterpretCounted(*api_, request.x0, request.c, &rng,
-                                        consumed, request.options,
-                                        iterations, /*y0_hint=*/nullptr,
-                                        lease.get(), retry_stats);
-  }
   return InterpretCached(request.x0, request.c, request.options, &rng,
                          consumed, outcome, iterations, retry_stats);
 }
@@ -1024,8 +1009,7 @@ InterpretationEngine::InterpretationEngine(EngineConfig config)
     owned_pool_ = std::make_unique<util::ThreadPool>(config_.num_threads);
     pool_ = owned_pool_.get();
   } else {
-    pool_ = util::SharedThreadPool(
-        util::DefaultThreadCount(config_.max_threads));
+    pool_ = util::SharedThreadPool(util::DefaultThreadCount());
   }
 }
 

@@ -163,27 +163,19 @@ struct EngineRequest {
 };
 
 struct EngineConfig {
-  /// Settings of the inner closed-form solver — including the
-  /// latency-aware chunked probe dispatch (`openapi.dispatch`: EWMA
-  /// alpha, conservative cold-endpoint seed, per-chunk time targets; see
-  /// interpret/probe_dispatch.h). Deadlined requests served through the
-  /// engine split their probe batches into chunks sized from the
-  /// endpoint's observed per-row latency and re-check their controls
-  /// between chunks, so deadline overshoot is bounded by one chunk.
+  /// Settings of the inner closed-form solver (Algorithm 1's iteration
+  /// cap, initial edge, shrink factor, and consistency tolerance).
+  /// Deadlined requests served through the engine split their probe
+  /// batches into chunks sized from the endpoint's observed per-row
+  /// latency and re-check their controls between chunks, so deadline
+  /// overshoot is bounded by one chunk (interpret/probe_dispatch.h; the
+  /// dispatch's tuning is fixed there, not configured).
   OpenApiConfig openapi;
   /// Worker threads. 0 (the default) borrows the process-wide
-  /// util::SharedThreadPool; > 0 gives this engine a private pool of
-  /// exactly that size.
+  /// util::SharedThreadPool, sized to the hardware
+  /// (util::DefaultThreadCount()) by whichever engine creates it first;
+  /// > 0 gives this engine a private pool of exactly that size.
   size_t num_threads = 0;
-  /// Cap applied when this engine is the first to size the shared pool
-  /// (util::DefaultThreadCount(max_threads)); 0 means uncapped — use all
-  /// hardware threads. Ignored when num_threads > 0 or the shared pool
-  /// already exists.
-  size_t max_threads = 0;
-  /// Master switch for the per-session region cache. With it off every
-  /// session is a plain concurrent fan-out of OpenApiInterpreter (useful
-  /// as the uncached baseline in benches).
-  bool use_region_cache = true;
   /// Default region capacity of each session's cache; 0 = unbounded.
   /// OpenSession can override per session. At capacity, inserts evict
   /// via a second-chance clock over per-region hit counters.
@@ -255,7 +247,7 @@ struct EngineStats {
 
 /// How the session cache served one request.
 enum class CacheOutcome {
-  kBypass,          // cache disabled, or rejected before the lookup
+  kBypass,          // rejected before the lookup
   kPointMemo,       // exact x0 repeat: 0 API queries
   kMemoryHit,       // candidate scan validated a RAM region: 2 queries
   kDiskHit,         // RAM missed; a region-log record validated: 2
@@ -405,8 +397,8 @@ class EndpointSession
   /// import. With a store attached the import is also written through to
   /// the region log, so a bulk import is how a log is seeded without
   /// endpoint traffic. Returns the region's cache slot;
-  /// FailedPrecondition when the engine's region cache is disabled or
-  /// the region cannot fit the session's byte budget even alone;
+  /// FailedPrecondition when the region cannot fit the session's byte
+  /// budget even alone;
   /// InvalidArgument when the model/anchor shape does not match the
   /// endpoint. Thread-safe.
   Result<size_t> ImportRegion(api::LocalLinearModel model, const Vec& anchor,

@@ -190,8 +190,8 @@ bool SolvePairAlongDirections(const linalg::QrDecomposition& direction_qr,
 void SolverWorkspace::Clear() {
   // Empty each row IN PLACE: vector::clear() on the outer vectors would
   // destroy the row Vecs and free their buffers, defeating the reuse.
-  // The next request (or iteration) resizes rows back within their kept
-  // capacity, so a Cleared workspace regrows nothing at its old shapes.
+  // The next request resizes rows back within their kept capacity, so a
+  // Cleared workspace regrows nothing at its old shapes.
   for (Vec& p : probes) p.clear();
   for (Vec& y : predictions) y.clear();
   for (CoreParameters& pair : ref_pairs) pair.d.clear();
@@ -265,14 +265,11 @@ Result<Interpretation> OpenApiInterpreter::InterpretImpl(
     // blows rejects with zero queries), then route it through the same
     // retry-aware dispatch as every probe chunk — a transiently failing
     // endpoint costs the anchor a retry, never the request.
-    OPENAPI_RETURN_NOT_OK(EnforceRequestOptions(
-        options, *consumed, 1,
-        config_.dispatch.enabled ? EffectiveRowLatency(api, config_.dispatch)
-                                 : 0.0));
+    OPENAPI_RETURN_NOT_OK(EnforceRequestOptions(options, *consumed, 1,
+                                                EffectiveRowLatency(api)));
     std::vector<Vec> anchor(1, x0);
     std::vector<Vec> anchor_prediction(1);
-    OPENAPI_RETURN_NOT_OK(DispatchProbes(api, anchor, options,
-                                         config_.dispatch, consumed,
+    OPENAPI_RETURN_NOT_OK(DispatchProbes(api, anchor, options, consumed,
                                          &anchor_prediction,
                                          /*out_offset=*/0, retry_stats));
     y0 = std::move(anchor_prediction[0]);
@@ -294,10 +291,8 @@ Result<Interpretation> OpenApiInterpreter::InterpretImpl(
   // Grow the probe/prediction buffers to the request's worst case once:
   // base draw plus the saturated path's top-up cap (d+1 extra), plus the
   // prepended y0 row.
-  if (config_.reuse_workspace) {
-    ws->probes.reserve(2 * probes_per_iter);
-    ws->predictions.reserve(2 * probes_per_iter + 1);
-  }
+  ws->probes.reserve(2 * probes_per_iter);
+  ws->predictions.reserve(2 * probes_per_iter + 1);
 
   ws->factorizations = 0;
   // Unsaturated path: whether ws->directions holds this request's draw
@@ -305,13 +300,6 @@ Result<Interpretation> OpenApiInterpreter::InterpretImpl(
   bool directions_factored = false;
   double r = config_.initial_edge;
   for (size_t iter = 0; iter < config_.max_iterations; ++iter) {
-    if (!config_.reuse_workspace) {
-      // Bench baseline for cross-iteration reuse: reset the workspace's
-      // logical contents every iteration. Clear keeps the heap blocks —
-      // a caller-supplied (pooled) workspace must never lose its grown
-      // buffers to one request's config.
-      ws->Clear();
-    }
     // Place the iteration's probes; together with x0 they give the
     // equations of Ω (Algorithm 1 line 2). The controls gate comes
     // first: a request rejected here never started this iteration, so it
@@ -350,8 +338,7 @@ Result<Interpretation> OpenApiInterpreter::InterpretImpl(
     ws->predictions.resize(ws->probes.size() + 1);
     ws->predictions[0].assign(y0.begin(), y0.end());
     OPENAPI_RETURN_NOT_OK(DispatchProbes(api, ws->probes, options,
-                                         config_.dispatch, consumed,
-                                         &ws->predictions,
+                                         consumed, &ws->predictions,
                                          /*out_offset=*/1, retry_stats));
 
     bool solved = false;
@@ -377,8 +364,7 @@ Result<Interpretation> OpenApiInterpreter::InterpretImpl(
         OPENAPI_RETURN_NOT_OK(CheckRequestControls(options, *consumed, draw));
         std::vector<Vec> extra = SampleHypercube(x0, r, draw, rng);
         std::vector<Vec> extra_predictions(draw);
-        OPENAPI_RETURN_NOT_OK(DispatchProbes(api, extra, options,
-                                             config_.dispatch, consumed,
+        OPENAPI_RETURN_NOT_OK(DispatchProbes(api, extra, options, consumed,
                                              &extra_predictions,
                                              /*out_offset=*/0, retry_stats));
         top_up_cap -= draw;

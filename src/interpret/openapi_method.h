@@ -76,8 +76,9 @@
 //    masked-row scratch) reused across iterations and across the
 //    saturated top-up path: after the first iteration the solver itself
 //    allocates nothing — probe rescales, redraws, refactorizations, and
-//    solves all overwrite the same buffers. OpenApiConfig::reuse_workspace
-//    turns the reuse off for benchmarking the win.
+//    solves all overwrite the same buffers. A caller that passes no
+//    workspace gets a request-local one; results are bit-identical
+//    either way.
 
 #ifndef OPENAPI_INTERPRET_OPENAPI_METHOD_H_
 #define OPENAPI_INTERPRET_OPENAPI_METHOD_H_
@@ -99,19 +100,6 @@ struct OpenApiConfig {
   // a kink-sized residual; 1e-9 cleanly separates the two. bench_ablation
   // sweeps this knob.
   double consistency_tol = 1e-9;
-  // Reuse the per-request SolverWorkspace across shrink iterations (the
-  // allocation-free steady state). Off Clear()s the workspace before
-  // every iteration: logical contents are rebuilt from scratch but the
-  // heap blocks are KEPT — a caller-supplied (pooled) workspace never
-  // loses its grown buffers to one request's config. (An earlier
-  // revision assigned a fresh SolverWorkspace here, silently destroying
-  // the caller's amortized buffers.) Results are identical either way.
-  bool reuse_workspace = true;
-  // Latency-aware chunk splitting of probe batches (deadline tightness,
-  // cancellation reaction time, per-endpoint latency EWMA). See
-  // probe_dispatch.h; dispatch.enabled = false restores the one-call-
-  // per-batch dispatch for benching.
-  ChunkedDispatchConfig dispatch;
 };
 
 /// Scratch buffers of one interpretation request, reused across the
@@ -153,11 +141,9 @@ struct SolverWorkspace {
   /// probe/prediction ROW's buffer, which clearing the outer vectors
   /// would free. A Cleared workspace behaves like a fresh one but regrows
   /// nothing at its old shapes; the engine's workspace pool Clears
-  /// between requests, and reuse_workspace = false Clears between
-  /// iterations. The request state (`directions`, `qr`,
+  /// between requests. The request state (`directions`, `qr`,
   /// `factorizations`) is left alone: every request redraws and refactors
-  /// it when it starts, and a per-iteration Clear must not make the next
-  /// iteration redraw.
+  /// it when it starts.
   void Clear();
 };
 

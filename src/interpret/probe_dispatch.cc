@@ -9,15 +9,66 @@
 #include "util/timer.h"
 
 namespace openapi::interpret {
+namespace {
 
-double EffectiveRowLatency(const api::PredictionApi& api,
-                           const ChunkedDispatchConfig& config) {
+// --- Chunk splitter. ---
+
+/// Weight of the newest chunk observation in the per-endpoint EWMA.
+constexpr double kEwmaAlpha = 0.25;
+
+/// Assumed per-row latency while the endpoint has no recorded chunks.
+/// Deliberately pessimistic (10 ms/row): a cold endpoint gets a tiny
+/// first chunk whose observation immediately corrects the estimate, so a
+/// fast endpoint pays one extra round-trip instead of a slow one blowing
+/// a deadline by a whole batch. Corollary: a COLD endpoint with a
+/// deadline tighter than this prior's first chunk is rejected up front
+/// with zero queries — conservative by design.
+constexpr double kSeedSecondsPerRow = 0.010;
+
+/// A chunk targets at most this fraction of the time remaining to the
+/// deadline, so chunks shrink geometrically as the deadline nears and the
+/// final overshoot is a fraction of the remaining window.
+constexpr double kDeadlineChunkFraction = 0.25;
+
+/// Chunk duration cap for any CANCELLABLE request: bounds how long a
+/// cancellation can go unnoticed mid-batch. With no deadline it is the
+/// chunk target outright; with one, the tighter of this and the
+/// deadline-fraction target wins (a roomy deadline must not slow the
+/// cancel reaction down).
+constexpr double kCancelChunkSeconds = 0.010;
+
+// --- Retry policy, applied to every chunk (including the single-chunk
+// fast paths), so transient endpoint failures are absorbed here instead
+// of surfacing to the solver. ---
+
+/// Attempts per chunk, including the first.
+constexpr size_t kMaxAttempts = 4;
+
+/// First backoff sleep, and the lower bound of every jittered draw.
+constexpr double kInitialBackoffSeconds = 0.001;
+
+/// Hard cap on any single backoff sleep.
+constexpr double kMaxBackoffSeconds = 0.100;
+
+/// Failed attempts allowed per REQUEST (across all its chunks), the bound
+/// on retry amplification: once a request has burned this many failed
+/// attempts, the next failure degrades to kUnavailable instead of
+/// retrying.
+constexpr uint64_t kRetryBudget = 16;
+
+/// Jitter stream seed: backoff sleeps are a pure function of (seed,
+/// consumed-so-far, chunk size), so a single-threaded run replays its
+/// retry schedule bit-identically.
+constexpr uint64_t kJitterSeed = 0xb0ff;
+
+}  // namespace
+
+double EffectiveRowLatency(const api::PredictionApi& api) {
   const double observed = api.row_latency().seconds_per_row();
-  return observed > 0.0 ? observed : config.seed_seconds_per_row;
+  return observed > 0.0 ? observed : kSeedSecondsPerRow;
 }
 
-size_t PlanChunkRows(const ChunkedDispatchConfig& config,
-                     const RequestOptions& options, double seconds_per_row,
+size_t PlanChunkRows(const RequestOptions& options, double seconds_per_row,
                      size_t rows_left) {
   OPENAPI_CHECK_GT(rows_left, 0u);
   double target_seconds;
@@ -26,52 +77,44 @@ size_t PlanChunkRows(const ChunkedDispatchConfig& config,
         std::chrono::duration<double>(
             *options.deadline - util::EffectiveClock(options.clock)->Now())
             .count();
-    target_seconds =
-        std::max(remaining, 0.0) * config.deadline_chunk_fraction;
+    target_seconds = std::max(remaining, 0.0) * kDeadlineChunkFraction;
     if (options.cancel.cancellable()) {
       // A roomy deadline must not cost cancellation its reaction bound:
       // the tighter of the two targets wins.
-      target_seconds = std::min(target_seconds, config.cancel_chunk_seconds);
+      target_seconds = std::min(target_seconds, kCancelChunkSeconds);
     }
   } else {
-    target_seconds = config.cancel_chunk_seconds;
+    target_seconds = kCancelChunkSeconds;
   }
   const double per_row = std::max(seconds_per_row, 1e-12);
-  const size_t floor_rows = std::max<size_t>(config.min_chunk_rows, 1);
   const double planned = std::floor(target_seconds / per_row);
   if (planned >= static_cast<double>(rows_left)) return rows_left;
-  if (planned <= static_cast<double>(floor_rows)) {
-    return std::min(floor_rows, rows_left);
-  }
+  // Never fewer than one row per chunk.
+  if (planned <= 1.0) return 1;
   return static_cast<size_t>(planned);
 }
 
 namespace {
 
-/// Sends one chunk, absorbing retryable refusals under config.retry.
+/// Sends one chunk, absorbing retryable refusals under the retry policy.
 /// Accounting rules (the reason this is the ONLY place a chunk touches
 /// the endpoint): *consumed advances by exactly what each attempt
 /// charged — served or refused — so it tracks api.query_count() even
 /// through failures; every charged-but-unanswered query additionally
 /// lands in stats->wasted_queries, and each refused attempt bumps
-/// stats->retries. On success with latency recording on, only the
-/// WINNING attempt's duration is folded into the endpoint's EWMA —
-/// backoff sleeps and refused round-trips are failure costs, not row
-/// latency.
+/// stats->retries. On success only the WINNING attempt's duration is
+/// folded into the endpoint's EWMA — backoff sleeps and refused
+/// round-trips are failure costs, not row latency.
 Status SendChunkWithRetry(const api::PredictionApi& api,
                           const std::vector<Vec>& rows,
-                          const RequestOptions& options,
-                          const ChunkedDispatchConfig& config,
-                          bool record_latency, uint64_t* consumed,
+                          const RequestOptions& options, uint64_t* consumed,
                           ProbeRetryStats* stats, std::vector<Vec>* out) {
-  const RetryConfig& retry = config.retry;
   const util::Clock* clock = util::EffectiveClock(options.clock);
   // Decorrelated-jitter stream, a pure function of (seed, position): a
   // single-threaded run replays its backoff schedule bit-identically.
   util::Rng jitter(util::Rng::MixSeed(
-      retry.seed, *consumed ^ static_cast<uint64_t>(rows.size())));
-  const size_t max_attempts = std::max<size_t>(retry.max_attempts, 1);
-  double prev_sleep = retry.initial_backoff_seconds;
+      kJitterSeed, *consumed ^ static_cast<uint64_t>(rows.size())));
+  double prev_sleep = kInitialBackoffSeconds;
   for (size_t attempt = 0;; ++attempt) {
     uint64_t attempt_consumed = 0;
     util::Timer timer(options.clock);
@@ -85,10 +128,8 @@ Status SendChunkWithRetry(const api::PredictionApi& api,
         // no caller-visible rows came of them.
         stats->wasted_queries += attempt_consumed - rows.size();
       }
-      if (record_latency) {
-        api.row_latency().Record(rows.size(), timer.ElapsedSeconds(),
-                                 config.ewma_alpha);
-      }
+      api.row_latency().Record(rows.size(), timer.ElapsedSeconds(),
+                               kEwmaAlpha);
       *out = std::move(batch).ValueOrDie();
       return Status::OK();
     }
@@ -96,31 +137,30 @@ Status SendChunkWithRetry(const api::PredictionApi& api,
     stats->retries += 1;
     const Status& refusal = batch.status();
     if (!refusal.IsRetryable()) return refusal;
-    if (attempt + 1 >= max_attempts) {
+    if (attempt + 1 >= kMaxAttempts) {
       return Status::Unavailable(util::StrFormat(
           "chunk of %llu rows refused %llu consecutive times (last: %s); "
           "%llu queries consumed, %llu wasted, %llu retries this request",
           static_cast<unsigned long long>(rows.size()),
-          static_cast<unsigned long long>(max_attempts),
+          static_cast<unsigned long long>(kMaxAttempts),
           refusal.message().c_str(),
           static_cast<unsigned long long>(*consumed),
           static_cast<unsigned long long>(stats->wasted_queries),
           static_cast<unsigned long long>(stats->retries)));
     }
-    if (retry.retry_budget > 0 && stats->retries >= retry.retry_budget) {
+    if (stats->retries >= kRetryBudget) {
       return Status::Unavailable(util::StrFormat(
           "retry budget %llu exhausted (last refusal: %s); %llu queries "
           "consumed, %llu wasted",
-          static_cast<unsigned long long>(retry.retry_budget),
+          static_cast<unsigned long long>(kRetryBudget),
           refusal.message().c_str(),
           static_cast<unsigned long long>(*consumed),
           static_cast<unsigned long long>(stats->wasted_queries)));
     }
-    const double sleep =
-        std::min(retry.max_backoff_seconds,
-                 jitter.Uniform(retry.initial_backoff_seconds,
-                                std::max(retry.initial_backoff_seconds,
-                                         prev_sleep * 3.0)));
+    const double sleep = std::min(
+        kMaxBackoffSeconds,
+        jitter.Uniform(kInitialBackoffSeconds,
+                       std::max(kInitialBackoffSeconds, prev_sleep * 3.0)));
     prev_sleep = sleep;
     // Re-gate before sleeping: the backoff itself must not carry the
     // request past a deadline/cancel a fresh chunk would have honored.
@@ -134,10 +174,9 @@ Status SendChunkWithRetry(const api::PredictionApi& api,
 
 Status DispatchProbes(const api::PredictionApi& api,
                       const std::vector<Vec>& points,
-                      const RequestOptions& options,
-                      const ChunkedDispatchConfig& config,
-                      uint64_t* consumed, std::vector<Vec>* predictions,
-                      size_t out_offset, ProbeRetryStats* retry_stats) {
+                      const RequestOptions& options, uint64_t* consumed,
+                      std::vector<Vec>* predictions, size_t out_offset,
+                      ProbeRetryStats* retry_stats) {
   if (points.empty()) return Status::OK();
   OPENAPI_CHECK_GE(predictions->size(), out_offset + points.size());
   ProbeRetryStats local_stats;  // callers that don't track still get bounds
@@ -153,23 +192,14 @@ Status DispatchProbes(const api::PredictionApi& api,
   };
 
   std::vector<Vec> batch;
-  if (!config.enabled) {  // pre-chunking dispatch, the bench baseline
-    OPENAPI_RETURN_NOT_OK(SendChunkWithRetry(api, points, options, config,
-                                             /*record_latency=*/false,
-                                             consumed, stats, &batch));
-    emit(batch, 0);
-    return Status::OK();
-  }
-
   const bool bounded =
       options.deadline.has_value() || options.cancel.cancellable();
   if (!bounded) {
     // Unbounded request: the whole batch is one chunk — but still timed,
     // so deadline-free traffic keeps the endpoint's estimate warm for
     // the deadlined requests that follow it.
-    OPENAPI_RETURN_NOT_OK(SendChunkWithRetry(api, points, options, config,
-                                             /*record_latency=*/true,
-                                             consumed, stats, &batch));
+    OPENAPI_RETURN_NOT_OK(
+        SendChunkWithRetry(api, points, options, consumed, stats, &batch));
     emit(batch, 0);
     return Status::OK();
   }
@@ -177,9 +207,8 @@ Status DispatchProbes(const api::PredictionApi& api,
   size_t done = 0;
   std::vector<Vec> chunk;  // sub-batch buffer, reused across chunks
   while (done < points.size()) {
-    const double per_row = EffectiveRowLatency(api, config);
-    const size_t rows =
-        PlanChunkRows(config, options, per_row, points.size() - done);
+    const double per_row = EffectiveRowLatency(api);
+    const size_t rows = PlanChunkRows(options, per_row, points.size() - done);
     // Predictive gate: dispatch only if the chunk's estimated duration
     // still fits before the deadline (and the budget covers it, and no
     // cancellation landed). Queries already charged stay in *consumed.
@@ -194,8 +223,7 @@ Status DispatchProbes(const api::PredictionApi& api,
                    points.begin() + static_cast<ptrdiff_t>(done + rows));
     }
     OPENAPI_RETURN_NOT_OK(SendChunkWithRetry(
-        api, whole_batch ? points : chunk, options, config,
-        /*record_latency=*/true, consumed, stats, &batch));
+        api, whole_batch ? points : chunk, options, consumed, stats, &batch));
     emit(batch, done);
     done += rows;
   }

@@ -26,7 +26,7 @@
 //     is rejected before any endpoint traffic (DeadlineExceeded with
 //     queries == 0), closing the old disagreement between the pre-flight
 //     and the per-batch check on that boundary case;
-//   * cancellation reaction time is bounded by cancel_chunk_seconds for
+//   * cancellation reaction time is bounded by kCancelChunkSeconds for
 //     cancellable requests without a deadline;
 //   * partial consumption stays exact: every chunk is a real
 //     PredictBatch of exactly that many rows, counted into *consumed as
@@ -35,10 +35,23 @@
 //
 // Chunking is semantically invisible: chunks run sequentially in row
 // order, so query counts and noise tickets are consumed in exactly the
-// batch order and results stay bit-identical to the unchunked dispatch.
-// Requests with no deadline and no cancel token are dispatched as a
-// single chunk (one PredictBatch, one timer read pair to keep the
-// endpoint's estimate warm), so the fast path pays ~nothing.
+// batch order and results stay bit-identical to sending the whole batch
+// in one call. Requests with no deadline and no cancel token are
+// dispatched as a single chunk (one PredictBatch, one timer read pair to
+// keep the endpoint's estimate warm), so the fast path pays ~nothing.
+//
+// Refused chunks (TryPredictBatch returning a retryable failure class —
+// kTransient/kThrottled/kTimeout) are retried under capped exponential
+// backoff with DECORRELATED JITTER: each sleep is drawn uniformly from
+// [initial, 3 x previous sleep], clamped to the cap, so synchronized
+// failures de-synchronize instead of thundering back in lockstep. Every
+// sleep is re-gated against the request's deadline/budget/cancel first,
+// so backing off can never blow a control a fresh chunk would have
+// respected.
+//
+// The EWMA weight, the cold-endpoint seed, the chunk time targets and
+// the retry policy are fixed constants of probe_dispatch.cc, each with
+// its reasoning; no caller tunes them.
 
 #ifndef OPENAPI_INTERPRET_PROBE_DISPATCH_H_
 #define OPENAPI_INTERPRET_PROBE_DISPATCH_H_
@@ -52,37 +65,6 @@ namespace openapi::interpret {
 
 using linalg::Vec;
 
-/// Retry policy for refused probe chunks (TryPredictBatch returning a
-/// retryable failure class — kTransient/kThrottled/kTimeout). Backoff is
-/// capped exponential with DECORRELATED JITTER: each sleep is drawn
-/// uniformly from [initial, 3 x previous sleep], clamped to the cap, so
-/// synchronized failures de-synchronize instead of thundering back in
-/// lockstep. Every sleep is re-gated against the request's
-/// deadline/budget/cancel first, so backing off can never blow a control
-/// a fresh chunk would have respected.
-struct RetryConfig {
-  /// Attempts per chunk, including the first. 1 = no retries.
-  size_t max_attempts = 4;
-
-  /// First backoff sleep, and the lower bound of every jittered draw.
-  double initial_backoff_seconds = 0.001;
-
-  /// Hard cap on any single backoff sleep.
-  double max_backoff_seconds = 0.100;
-
-  /// Failed attempts allowed per REQUEST (across all its chunks), the
-  /// bound on retry amplification: once a request has burned this many
-  /// failed attempts, the next failure degrades to kUnavailable instead
-  /// of retrying. 0 = no request-level bound (per-chunk max_attempts
-  /// still applies).
-  uint64_t retry_budget = 16;
-
-  /// Jitter stream seed: backoff sleeps are a pure function of (seed,
-  /// consumed-so-far, chunk size), so a single-threaded run replays its
-  /// retry schedule bit-identically.
-  uint64_t seed = 0xb0ff;
-};
-
 /// Per-request retry accounting, surfaced as EngineStats::wasted_queries
 /// / retries. `wasted_queries` counts queries charged by attempts that
 /// produced no answer (a simple endpoint refuses before consuming — 0;
@@ -92,50 +74,6 @@ struct RetryConfig {
 struct ProbeRetryStats {
   uint64_t wasted_queries = 0;
   uint64_t retries = 0;
-};
-
-/// Knobs of the latency-aware chunk splitter. Lives in
-/// OpenApiConfig::dispatch, so the engine exposes it as
-/// EngineConfig::openapi.dispatch.
-struct ChunkedDispatchConfig {
-  /// Master switch. Off = one PredictBatch per probe batch, no latency
-  /// recording, no per-chunk gates — bit-for-bit the pre-chunking
-  /// dispatch, kept as the bench baseline (bench_kernels quantifies the
-  /// overhead as within noise on fast endpoints).
-  bool enabled = true;
-
-  /// Weight of the newest chunk observation in the per-endpoint EWMA.
-  double ewma_alpha = 0.25;
-
-  /// Assumed per-row latency while the endpoint has no recorded chunks.
-  /// Deliberately pessimistic (10 ms/row): a cold endpoint gets a tiny
-  /// first chunk whose observation immediately corrects the estimate, so
-  /// a fast endpoint pays one extra round-trip instead of a slow one
-  /// blowing a deadline by a whole batch. Corollary: a COLD endpoint
-  /// with a deadline tighter than this prior's first chunk is rejected
-  /// up front with zero queries — conservative by design.
-  double seed_seconds_per_row = 0.010;
-
-  /// A chunk targets at most this fraction of the time remaining to the
-  /// deadline, so chunks shrink geometrically as the deadline nears and
-  /// the final overshoot is a fraction of the remaining window.
-  double deadline_chunk_fraction = 0.25;
-
-  /// Chunk duration cap for any CANCELLABLE request: bounds how long a
-  /// cancellation can go unnoticed mid-batch. With no deadline it is the
-  /// chunk target outright; with one, the tighter of this and the
-  /// deadline-fraction target wins (a roomy deadline must not slow the
-  /// cancel reaction down).
-  double cancel_chunk_seconds = 0.010;
-
-  /// Never plan fewer rows than this per chunk (>= 1 enforced). Raising
-  /// it trades deadline tightness for fewer round-trips.
-  size_t min_chunk_rows = 1;
-
-  /// Retry/backoff policy applied to every chunk (including the
-  /// single-chunk fast paths), so transient endpoint failures are
-  /// absorbed here instead of surfacing to the solver.
-  RetryConfig retry;
 };
 
 /// The per-row latency estimate a dispatcher should plan with: the
@@ -149,14 +87,12 @@ struct ChunkedDispatchConfig {
 /// order; a racing read sees either side of a fold, both of which are
 /// valid plans (the deadline gate re-checks real clocks before every
 /// chunk).
-double EffectiveRowLatency(const api::PredictionApi& api,
-                           const ChunkedDispatchConfig& config);
+double EffectiveRowLatency(const api::PredictionApi& api);
 
 /// Rows the next chunk should carry, given the request's controls and
 /// the current per-row estimate. `rows_left` > 0; the result is in
 /// [1, rows_left].
-size_t PlanChunkRows(const ChunkedDispatchConfig& config,
-                     const RequestOptions& options, double seconds_per_row,
+size_t PlanChunkRows(const RequestOptions& options, double seconds_per_row,
                      size_t rows_left);
 
 /// Sends `points` to `api` in latency-aware chunks, writing prediction i
@@ -171,18 +107,16 @@ size_t PlanChunkRows(const ChunkedDispatchConfig& config,
 /// remainder of `points` is never sent.
 ///
 /// Failure handling: a chunk refused with a retryable class is retried
-/// under config.retry (capped backoff with decorrelated jitter, each
-/// sleep re-gated against the request's controls). A non-retryable
+/// under the retry policy above (capped backoff with decorrelated
+/// jitter, each sleep re-gated against the request's controls). A non-retryable
 /// refusal propagates as-is; exhausting per-chunk attempts or the
 /// request's retry budget degrades to kUnavailable with exact counts in
 /// the message. `retry_stats` (nullable) accumulates the request's
 /// failed attempts and wasted queries across calls.
 Status DispatchProbes(const api::PredictionApi& api,
                       const std::vector<Vec>& points,
-                      const RequestOptions& options,
-                      const ChunkedDispatchConfig& config,
-                      uint64_t* consumed, std::vector<Vec>* predictions,
-                      size_t out_offset,
+                      const RequestOptions& options, uint64_t* consumed,
+                      std::vector<Vec>* predictions, size_t out_offset,
                       ProbeRetryStats* retry_stats = nullptr);
 
 }  // namespace openapi::interpret

@@ -111,11 +111,11 @@ void ParallelFor(ThreadPool* pool, size_t count,
   while (latch.pending != 0) latch.done.Wait(latch.mutex);
 }
 
-size_t DefaultThreadCount(size_t max_threads) {
+size_t DefaultThreadCount(size_t cap) {
   size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
-  if (max_threads == 0) return hw;
-  return std::clamp<size_t>(hw, 1, max_threads);
+  if (cap == 0) return hw;
+  return std::clamp<size_t>(hw, 1, cap);
 }
 
 ThreadPool* SharedThreadPool(size_t num_threads) {

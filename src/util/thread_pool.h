@@ -83,11 +83,11 @@ class ThreadPool {
 void ParallelFor(ThreadPool* pool, size_t count,
                  const std::function<void(size_t)>& body);
 
-/// Hardware concurrency, optionally clamped to [1, max_threads].
-/// max_threads == 0 means uncapped: use everything the hardware reports.
+/// Hardware concurrency, optionally clamped to [1, cap].
+/// cap == 0 means uncapped: use everything the hardware reports.
 /// (An earlier revision silently capped at 16 regardless of hardware; the
 /// cap is now opt-in and caller-controlled.)
-size_t DefaultThreadCount(size_t max_threads = 0);
+size_t DefaultThreadCount(size_t cap = 0);
 
 /// The process-wide shared pool. Lazily constructed on first use: the
 /// first caller fixes the size (num_threads == 0 means

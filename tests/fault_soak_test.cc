@@ -25,6 +25,7 @@
 #include "api/fault_injecting_api.h"
 #include "api/ground_truth.h"
 #include "api/plm.h"
+#include "grid_plm.h"
 #include "interpret/interpretation_engine.h"
 #include "util/clock.h"
 #include "util/rng.h"
@@ -38,61 +39,6 @@ constexpr uint64_t kRequests = 1000, kSwapAt = 500;
 constexpr size_t kSwappedEndpoint = 3;
 constexpr uint64_t kDriftInterval = 4;
 constexpr uint64_t kInjectionSeed = 0x50a4;
-
-/// k x k grid of locally linear cells over dims 0 and 1 (the shared test
-/// backend): extraction is exact per cell, so freshness can be judged
-/// against the cell's true local model.
-class GridPlm : public api::Plm {
- public:
-  GridPlm(size_t d, size_t num_classes, size_t k, util::Rng* rng)
-      : d_(d), num_classes_(num_classes), k_(k) {
-    cells_.reserve(k * k);
-    for (size_t cell = 0; cell < k * k; ++cell) {
-      api::LocalLinearModel model;
-      model.weights = linalg::Matrix(d, num_classes);
-      for (size_t j = 0; j < d; ++j) {
-        for (size_t c = 0; c < num_classes; ++c) {
-          model.weights(j, c) = rng->Uniform(-0.5, 0.5);
-        }
-      }
-      model.bias = rng->UniformVector(num_classes, -0.5, 0.5);
-      model.bias[cell % num_classes] += 4.0;
-      cells_.push_back(std::move(model));
-    }
-  }
-
-  size_t dim() const override { return d_; }
-  size_t num_classes() const override { return num_classes_; }
-  Vec Predict(const Vec& x) const override {
-    return api::EvaluateLocalModel(cells_[CellOf(x)], x);
-  }
-
-  const api::LocalLinearModel& CellModel(size_t cell) const {
-    return cells_[cell];
-  }
-  Vec CellPoint(size_t cell) const {
-    const size_t i = cell / k_, j = cell % k_;
-    Vec x(d_, 0.5);
-    x[0] = (static_cast<double>(i) + 0.55) / static_cast<double>(k_);
-    x[1] = (static_cast<double>(j) + 0.45) / static_cast<double>(k_);
-    x[2] = 0.3;
-    return x;
-  }
-
- private:
-  size_t CellOf(const Vec& x) const {
-    auto axis = [this](double v) {
-      double scaled = v * static_cast<double>(k_);
-      if (scaled < 0.0) scaled = 0.0;
-      size_t idx = static_cast<size_t>(scaled);
-      return idx >= k_ ? k_ - 1 : idx;
-    };
-    return axis(x[0]) * k_ + axis(x[1]);
-  }
-
-  size_t d_, num_classes_, k_;
-  std::vector<api::LocalLinearModel> cells_;
-};
 
 double MaxAbsDiff(const Vec& a, const Vec& b) {
   double max_diff = 0.0;
@@ -233,7 +179,8 @@ SoakDigest RunSoak(uint64_t injection_seed) {
     // between the swap and the next scheduled drift check).
     const bool swapped = e == kSwappedEndpoint && r >= kSwapAt;
     const api::LocalLinearModel& current =
-        swapped ? retrained.CellModel(cell) : models[e]->CellModel(cell);
+        swapped ? retrained.NthCellModel(cell)
+                : models[e]->NthCellModel(cell);
     const double current_diff = MaxAbsDiff(
         response.result->dc, api::GroundTruthDecisionFeatures(current, 0));
     if (current_diff < 1e-6) continue;
@@ -246,7 +193,7 @@ SoakDigest RunSoak(uint64_t injection_seed) {
     const double old_diff = MaxAbsDiff(
         response.result->dc,
         api::GroundTruthDecisionFeatures(
-            models[kSwappedEndpoint]->CellModel(cell), 0));
+            models[kSwappedEndpoint]->NthCellModel(cell), 0));
     EXPECT_LT(old_diff, 1e-6) << "request " << r;
     // ... and only while the epoch bump has not happened yet.
     EXPECT_EQ(sessions[e]->stats().drift_events, 0u)

@@ -12,6 +12,7 @@
 
 #include "data/synthetic.h"
 #include "eval/exactness.h"
+#include "grid_plm.h"
 #include "interpret/interpretation_engine.h"
 #include "lmt/lmt.h"
 #include "nn/plnn.h"
@@ -48,22 +49,34 @@ std::vector<EngineRequest> RandomRequests(size_t n, size_t d,
   return requests;
 }
 
-TEST(SubmitAsyncTest, BitMatchesInterpretAllWithoutCache) {
-  // With the region cache off each request is an independent solve on RNG
-  // stream i, so the future results must be bitwise identical to
-  // InterpretAll's — the async plumbing adds nothing but scheduling.
-  nn::Plnn net = MakeNet(61);
-  std::vector<EngineRequest> requests = RandomRequests(16, 6, 3, 41);
-  EngineConfig config;
-  config.use_region_cache = false;
+/// One request per cell of a k x k GridPlm: no two requests share a
+/// region, so with the region cache on every request is a kMiss whose
+/// content is pinned by (seed, request index) alone — whatever else the
+/// session served concurrently.
+std::vector<EngineRequest> OneRequestPerCell(const GridPlm& grid, size_t n) {
+  std::vector<EngineRequest> requests;
+  requests.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    requests.push_back({grid.NthCellCenter(i), i % grid.num_classes()});
+  }
+  return requests;
+}
 
-  InterpretationEngine sync_engine(config);
-  api::PredictionApi sync_api(&net);
+TEST(SubmitAsyncTest, BitMatchesInterpretAll) {
+  // Every request misses the cache and solves on RNG stream i, so the
+  // future results must be bitwise identical to InterpretAll's — the
+  // async plumbing adds nothing but scheduling.
+  util::Rng model_rng(61);
+  GridPlm grid(/*d=*/6, /*num_classes=*/3, /*k=*/4, &model_rng);
+  std::vector<EngineRequest> requests = OneRequestPerCell(grid, 16);
+
+  InterpretationEngine sync_engine;
+  api::PredictionApi sync_api(&grid);
   auto sync_session = sync_engine.OpenSession(sync_api);
   auto expected = sync_session->InterpretAll(requests, /*seed=*/43);
 
-  InterpretationEngine async_engine(config);
-  api::PredictionApi async_api(&net);
+  InterpretationEngine async_engine;
+  api::PredictionApi async_api(&grid);
   auto async_session = async_engine.OpenSession(async_api);
   std::vector<std::future<EngineResponse>> futures;
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -74,6 +87,9 @@ TEST(SubmitAsyncTest, BitMatchesInterpretAllWithoutCache) {
     EngineResponse got = futures[i].get();
     ASSERT_TRUE(got.result.ok()) << "request " << i;
     ASSERT_TRUE(expected[i].result.ok());
+    EXPECT_EQ(got.cache_outcome, CacheOutcome::kMiss) << "request " << i;
+    EXPECT_EQ(expected[i].cache_outcome, CacheOutcome::kMiss)
+        << "request " << i;
     EXPECT_EQ(got.result->dc, expected[i].result->dc) << "request " << i;
     EXPECT_EQ(got.queries, expected[i].queries);
   }
@@ -160,36 +176,39 @@ TEST(SubmitAsyncTest, EvictionRacesAsyncTrafficSafely) {
 
 TEST(SessionStreamTest, CompletionOrderNeverChangesResultContent) {
   // Streaming yields in completion order, which is scheduling-dependent —
-  // but the content for request i is pinned by (seed, i). With the cache
-  // off, reassembling the stream by index must reproduce InterpretAll
-  // bitwise at a different thread count.
-  nn::Plnn net = MakeNet(62);
-  std::vector<EngineRequest> requests = RandomRequests(18, 6, 3, 71);
+  // but the content for request i is pinned by (seed, i). With every
+  // request a cache miss, reassembling the stream by index must
+  // reproduce InterpretAll bitwise at a different thread count.
+  util::Rng model_rng(62);
+  GridPlm grid(/*d=*/6, /*num_classes=*/3, /*k=*/5, &model_rng);
+  std::vector<EngineRequest> requests = OneRequestPerCell(grid, 18);
   EngineConfig stream_config;
-  stream_config.use_region_cache = false;
   stream_config.num_threads = 4;
   InterpretationEngine stream_engine(stream_config);
-  api::PredictionApi stream_api(&net);
+  api::PredictionApi stream_api(&grid);
   auto stream_session = stream_engine.OpenSession(stream_api);
   SessionStream stream =
       stream_session->InterpretStream(requests, /*seed=*/73);
 
   EngineConfig sync_config;
-  sync_config.use_region_cache = false;
   sync_config.num_threads = 1;
   InterpretationEngine sync_engine(sync_config);
-  api::PredictionApi sync_api(&net);
+  api::PredictionApi sync_api(&grid);
   auto sync_session = sync_engine.OpenSession(sync_api);
   auto expected = sync_session->InterpretAll(requests, /*seed=*/73);
 
   std::vector<std::optional<Vec>> streamed(requests.size());
   while (auto item = stream.Next()) {
     ASSERT_TRUE(item->response.result.ok());
+    EXPECT_EQ(item->response.cache_outcome, CacheOutcome::kMiss)
+        << "request " << item->index;
     streamed[item->index] = item->response.result->dc;
   }
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_TRUE(streamed[i].has_value());
     ASSERT_TRUE(expected[i].result.ok());
+    EXPECT_EQ(expected[i].cache_outcome, CacheOutcome::kMiss)
+        << "request " << i;
     EXPECT_EQ(*streamed[i], expected[i].result->dc) << "request " << i;
   }
 }

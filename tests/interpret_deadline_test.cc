@@ -3,13 +3,14 @@
 // by one latency-sized chunk (previously one arbitrarily slow batch),
 // predictive rejection of requests whose first chunk already blows the
 // deadline (queries == 0), cancellation stopping at a chunk boundary
-// mid-batch with exact consumed counts, and bit-parity of chunked vs
-// unchunked dispatch on unconstrained requests. The timing tests run on
-// an injected util::FakeClock — the slow endpoint advances the same
-// clock the dispatch plans and measures against, so every elapsed-time
-// assertion is deterministic: no real sleeps, no CI flakes. Runs in the
-// CI ThreadSanitizer job: the replica-set test exercises concurrent
-// deadlined traffic against the shared per-endpoint latency EWMA.
+// mid-batch with exact consumed counts, and bit-parity of a chunked
+// (deadlined) request with the same request sent unconstrained. The
+// timing tests run on an injected util::FakeClock — the slow endpoint
+// advances the same clock the dispatch plans and measures against, so
+// every elapsed-time assertion is deterministic: no real sleeps, no CI
+// flakes. Runs in the CI ThreadSanitizer job: the replica-set test
+// exercises concurrent deadlined traffic against the shared per-endpoint
+// latency EWMA.
 
 #include <atomic>
 #include <chrono>
@@ -174,7 +175,7 @@ TEST(ChunkedDeadlineTest, CancellationStopsAtAChunkBoundaryMidBatch) {
   // served — i.e. while the first 17-probe batch is in flight. The old
   // dispatch would have finished the whole batch before noticing;
   // chunked dispatch reacts at the next chunk boundary
-  // (cancel_chunk_seconds bounds the reaction), and the consumed count
+  // (kCancelChunkSeconds bounds the reaction), and the consumed count
   // covers exactly the chunks that ran. Fully deterministic: the fake
   // clock replaces the old real-sleep + racing-thread arrangement.
   const size_t d = 16;
@@ -185,7 +186,7 @@ TEST(ChunkedDeadlineTest, CancellationStopsAtAChunkBoundaryMidBatch) {
   util::CancelToken token = util::CancelToken::Cancellable();
   api.CancelAfter(/*after_rows=*/5, token);
   // A roomy deadline alongside the token: cancellation must keep its
-  // cancel_chunk_seconds reaction bound, not inherit the deadline's
+  // kCancelChunkSeconds reaction bound, not inherit the deadline's
   // whole-batch-sized chunks.
   RequestOptions options =
       RequestOptions::WithTimeout(std::chrono::seconds(10), &clock);
@@ -208,7 +209,7 @@ TEST(ChunkedDeadlineTest, CancellationStopsAtAChunkBoundaryMidBatch) {
   // the old dispatch would have finished.
   EXPECT_LT(consumed, 1u + d + 1);
   // Reaction bound: with the EWMA at 5 ms/row each chunk targets
-  // cancel_chunk_seconds (10 ms) => the request returns well before the
+  // kCancelChunkSeconds (10 ms) => the request returns well before the
   // 90 ms the unchunked anchor + batch would have cost.
   EXPECT_LT(elapsed_ms, 70.0);
 }
@@ -217,8 +218,8 @@ TEST(ChunkedDispatchParityTest, ChunkingIsBitInvisibleOnFastEndpoints) {
   // Chunks run sequentially in row order, so query counts and noise
   // tickets replay exactly: a deadlined (hence chunked) request on a
   // fast endpoint must produce bit-identical results, probes, and counts
-  // to an unchunked run with the same seeds — noise on, to pin the
-  // ticket streams too.
+  // to the same interpreter's request with no deadline, which goes out
+  // as one whole-batch chunk — noise on, to pin the ticket streams too.
   const size_t d = 6;
   nn::Plnn net = MakeNet(d, 43);
   util::Rng seed_rng(47);
@@ -228,17 +229,14 @@ TEST(ChunkedDispatchParityTest, ChunkingIsBitInvisibleOnFastEndpoints) {
   // chunking-induced shift in the ticket stream would change the bits.
   api::PredictionApi chunked_api(&net, 0, /*noise_stddev=*/1e-13);
   api::PredictionApi plain_api(&net, 0, /*noise_stddev=*/1e-13);
-  OpenApiConfig unchunked_config;
-  unchunked_config.dispatch.enabled = false;
-  OpenApiInterpreter chunked;
-  OpenApiInterpreter unchunked(unchunked_config);
+  OpenApiInterpreter interpreter;
 
   util::Rng rng_a(53), rng_b(53);
   uint64_t consumed_a = 0, consumed_b = 0;
-  auto a = chunked.InterpretCounted(
+  auto a = interpreter.InterpretCounted(
       chunked_api, x0, 0, &rng_a, &consumed_a,
       RequestOptions::WithTimeout(std::chrono::seconds(30)));
-  auto b = unchunked.InterpretCounted(plain_api, x0, 0, &rng_b, &consumed_b);
+  auto b = interpreter.InterpretCounted(plain_api, x0, 0, &rng_b, &consumed_b);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(a->dc, b->dc);

@@ -190,35 +190,6 @@ TEST(EndpointSessionTest, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(session_conc->stats().queries, api_conc.query_count());
 }
 
-TEST(EndpointSessionTest, UncachedModeBitMatchesPlainInterpreter) {
-  // With the region cache off, the session is exactly a concurrent
-  // fan-out of OpenApiInterpreter over per-request RNG streams —
-  // verifiable bitwise against a hand-rolled sequential loop.
-  nn::Plnn net = MakeNet(57);
-  std::vector<EngineRequest> requests = RandomRequests(12, 6, 3, 31);
-
-  EngineConfig config;
-  config.use_region_cache = false;
-  InterpretationEngine engine(config);
-  api::PredictionApi api_engine(&net);
-  auto session = engine.OpenSession(api_engine);
-  auto responses = session->InterpretAll(requests, 37);
-
-  api::PredictionApi api_plain(&net);
-  OpenApiInterpreter plain;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    util::Rng rng(util::Rng::MixSeed(37, i));
-    auto expected =
-        plain.Interpret(api_plain, requests[i].x0, requests[i].c, &rng);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_TRUE(responses[i].result.ok());
-    EXPECT_EQ(responses[i].result->dc, expected->dc) << "request " << i;
-    EXPECT_EQ(responses[i].queries, expected->queries);
-    EXPECT_EQ(responses[i].cache_outcome, CacheOutcome::kBypass);
-  }
-  EXPECT_EQ(session->stats().queries, api_engine.query_count());
-}
-
 TEST(EndpointSessionTest, PairsMatchGroundTruthCoreParameters) {
   nn::Plnn net = MakeNet(58);
   api::PredictionApi api(&net);
@@ -289,16 +260,6 @@ TEST(EndpointSessionTest, ErrorPathAccountingMatchesApiCounter) {
   EXPECT_EQ(stats.queries, api.query_count());
   // Per-response envelopes sum to the endpoint's counter too.
   EXPECT_EQ(reported, api.query_count());
-
-  // Same invariant with the cache off: the uncached fan-out's failures
-  // must account their consumed probes too.
-  EngineConfig uncached = config;
-  uncached.use_region_cache = false;
-  InterpretationEngine plain_engine(uncached);
-  api::PredictionApi plain_api(&net, /*round_digits=*/2);
-  auto plain_session = plain_engine.OpenSession(plain_api);
-  auto plain = plain_session->InterpretAll(requests, /*seed=*/47);
-  EXPECT_EQ(plain_session->stats().queries, plain_api.query_count());
 }
 
 TEST(CacheOutcomeNameTest, EveryOutcomeHasADistinctName) {

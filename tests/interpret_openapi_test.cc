@@ -76,14 +76,11 @@ TEST_F(OpenApiPlnnTest, SimdAndReferenceKernelsGiveBitIdenticalResults) {
 }
 
 TEST_F(OpenApiPlnnTest, WorkspaceReuseDoesNotChangeResults) {
-  // reuse_workspace only changes WHERE the solver's scratch lives;
-  // results, probe draws, and query counts must be bit-identical with it
-  // on or off, and an externally supplied workspace must serve several
-  // requests in a row without contaminating them.
-  OpenApiConfig fresh_config;
-  fresh_config.reuse_workspace = false;
-  OpenApiInterpreter reusing;
-  OpenApiInterpreter fresh(fresh_config);
+  // The workspace only changes WHERE the solver's scratch lives: an
+  // externally supplied workspace serving several requests in a row must
+  // give bit-identical results, probe draws, and query counts to a
+  // request-local workspace, without one request contaminating the next.
+  OpenApiInterpreter interpreter;
   SolverWorkspace shared_workspace;
   util::Rng rng_a(401);
   util::Rng rng_b(401);
@@ -91,9 +88,11 @@ TEST_F(OpenApiPlnnTest, WorkspaceReuseDoesNotChangeResults) {
     Vec x0 = rng_.UniformVector(6, 0.05, 0.95);
     uint64_t consumed_a = 0, consumed_b = 0;
     auto with_reuse =
-        reusing.InterpretCounted(api_, x0, 0, &rng_a, &consumed_a, {},
-                                 nullptr, nullptr, &shared_workspace);
-    auto without = fresh.InterpretCounted(api_, x0, 0, &rng_b, &consumed_b);
+        interpreter.InterpretCounted(api_, x0, 0, &rng_a, &consumed_a, {},
+                                     nullptr, nullptr, &shared_workspace);
+    auto without = interpreter.InterpretCounted(
+        api_, x0, 0, &rng_b, &consumed_b, {}, nullptr, nullptr,
+        /*workspace=*/nullptr);
     ASSERT_TRUE(with_reuse.ok());
     ASSERT_TRUE(without.ok());
     EXPECT_EQ(with_reuse->dc, without->dc) << "trial " << trial;

@@ -147,23 +147,43 @@ TEST(SaturationRegressionTest, QueryAccountingStaysExactUnderSaturation) {
 TEST(SaturationRegressionTest, SaturatedSolveIsBitIdenticalAcrossPolicies) {
   // The masked-row path (per-pair QR over the usable rows + adaptive
   // top-ups) must be exactly equal under kSimd and kReference, and with
-  // the solver workspace reused or rebuilt per iteration — the saturated
+  // a request-local workspace or a caller workspace whose buffers an
+  // earlier request of a different shape already grew — the saturated
   // branch exercises the Resize/Refactor reuse cycle the fast path never
   // touches.
   LinearPlm plm(SaturatingModel());
   api::PredictionApi api(&plm);
-  OpenApiConfig fresh_config;
-  fresh_config.reuse_workspace = false;
-  OpenApiInterpreter reusing;
-  OpenApiInterpreter fresh(fresh_config);
+  OpenApiInterpreter interpreter;
+  // Grow the caller workspace on an unsaturated request with d = 5,
+  // C = 4, so the probe, prediction, QR and pair buffers the saturated
+  // d = 3, C = 3 solve below reuses hold stale rows of another shape.
+  SolverWorkspace used_workspace;
+  {
+    util::Rng model_rng(79);
+    api::LocalLinearModel other;
+    other.weights = linalg::Matrix(5, 4);
+    for (double& w : other.weights.mutable_data()) {
+      w = model_rng.Uniform(-1.0, 1.0);
+    }
+    other.bias = model_rng.UniformVector(4, -0.5, 0.5);
+    LinearPlm other_plm(std::move(other));
+    api::PredictionApi other_api(&other_plm);
+    util::Rng rng(78);
+    uint64_t consumed = 0;
+    ASSERT_TRUE(interpreter
+                    .InterpretCounted(other_api, Vec(5, 0.5), 2, &rng,
+                                      &consumed, {}, nullptr, nullptr,
+                                      &used_workspace)
+                    .ok());
+  }
   struct Leg {
     linalg::KernelPolicy policy;
-    const OpenApiInterpreter* interpreter;
+    SolverWorkspace* workspace;  // nullptr: request-local
   };
   const Leg legs[] = {
-      {linalg::KernelPolicy::kReference, &fresh},
-      {linalg::KernelPolicy::kSimd, &fresh},
-      {linalg::KernelPolicy::kSimd, &reusing},
+      {linalg::KernelPolicy::kReference, nullptr},
+      {linalg::KernelPolicy::kSimd, nullptr},
+      {linalg::KernelPolicy::kSimd, &used_workspace},
   };
   std::optional<Interpretation> baseline;
   uint64_t baseline_consumed = 0;
@@ -171,8 +191,9 @@ TEST(SaturationRegressionTest, SaturatedSolveIsBitIdenticalAcrossPolicies) {
     linalg::SetKernelPolicy(leg.policy);
     util::Rng rng(77);
     uint64_t consumed = 0;
-    auto result = leg.interpreter->InterpretCounted(
-        api, SaturatedAnchor(), 0, &rng, &consumed);
+    auto result = interpreter.InterpretCounted(
+        api, SaturatedAnchor(), 0, &rng, &consumed, {}, nullptr, nullptr,
+        leg.workspace);
     linalg::SetKernelPolicy(linalg::KernelPolicy::kSimd);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     if (!baseline.has_value()) {

@@ -12,6 +12,7 @@
 
 #include "data/synthetic.h"
 #include "eval/exactness.h"
+#include "grid_plm.h"
 #include "interpret/interpretation_engine.h"
 #include "lmt/lmt.h"
 #include "nn/plnn.h"
@@ -47,67 +48,6 @@ std::vector<EngineRequest> RandomRequests(size_t n, size_t d,
   }
   return requests;
 }
-
-/// A synthetic endpoint with MANY small regions and balanced argmax
-/// classes: [0,1]^2 x R^(d-2) split into k x k cells, each its own
-/// locally linear region (the same shape bench_scaling uses to exercise
-/// point location). Ideal for capacity-pressure tests: every cell center
-/// is a guaranteed distinct region.
-class GridPlm : public api::Plm {
- public:
-  GridPlm(size_t d, size_t num_classes, size_t k, util::Rng* rng)
-      : d_(d), num_classes_(num_classes), k_(k) {
-    cells_.reserve(k * k);
-    for (size_t cell = 0; cell < k * k; ++cell) {
-      api::LocalLinearModel model;
-      model.weights = linalg::Matrix(d, num_classes);
-      for (size_t j = 0; j < d; ++j) {
-        for (size_t c = 0; c < num_classes; ++c) {
-          model.weights(j, c) = rng->Uniform(-0.5, 0.5);
-        }
-      }
-      model.bias = rng->UniformVector(num_classes, -0.5, 0.5);
-      model.bias[cell % num_classes] += 4.0;
-      cells_.push_back(std::move(model));
-    }
-  }
-
-  size_t dim() const override { return d_; }
-  size_t num_classes() const override { return num_classes_; }
-  Vec Predict(const Vec& x) const override {
-    return api::EvaluateLocalModel(cells_[CellOf(x)], x);
-  }
-
-  /// Center of cell (i, j), region-interior by construction.
-  Vec CellCenter(size_t i, size_t j) const {
-    Vec x(d_, 0.5);
-    x[0] = (static_cast<double>(i) + 0.5) / static_cast<double>(k_);
-    x[1] = (static_cast<double>(j) + 0.5) / static_cast<double>(k_);
-    return x;
-  }
-
-  Vec NthCellCenter(size_t n) const { return CellCenter(n / k_, n % k_); }
-
-  /// The hidden model of cell n, as the white box holds it: column 0 of
-  /// the weights and bias[0] are not zero, so it is NOT canonical.
-  const api::LocalLinearModel& NthCellModel(size_t n) const {
-    return cells_[n];
-  }
-
- private:
-  size_t CellOf(const Vec& x) const {
-    auto axis = [this](double v) {
-      double scaled = v * static_cast<double>(k_);
-      if (scaled < 0.0) scaled = 0.0;
-      size_t idx = static_cast<size_t>(scaled);
-      return idx >= k_ ? k_ - 1 : idx;
-    };
-    return axis(x[0]) * k_ + axis(x[1]);
-  }
-
-  size_t d_, num_classes_, k_;
-  std::vector<api::LocalLinearModel> cells_;
-};
 
 // ---------------------------------------------------------------------------
 // Budgets
@@ -533,6 +473,47 @@ TEST(SessionEvictionTest, RefetchIsClassifiedAfterManyByteBudgetEvictions) {
   // count cap.
   const uint64_t evictions = ImportEvictAndRefetch(/*cold_cells=*/180);
   EXPECT_GT(evictions, 130u);
+}
+
+TEST(SessionEvictionTest, ByteBudgetEvictionRacingRamHitsStaysExact) {
+  // Regression: a slot the candidate scan returned could be evicted by
+  // another worker before the hit path copied its model. Eviction leaves
+  // an unoccupied slot with an empty 0 x 0 model, and validating that
+  // copy aborted on a shape CHECK. A 3-region byte budget over a 9-cell
+  // grid keeps four workers evicting each other's hits.
+  const size_t d = 4, num_classes = 3, k = 3;
+  util::Rng model_rng(31);
+  GridPlm grid(d, num_classes, k, &model_rng);
+  api::PredictionApi api(&grid);
+  EngineConfig config;
+  config.num_threads = 4;
+  InterpretationEngine engine(config);
+
+  uint64_t region_bytes = 0;
+  {
+    auto sizing = engine.OpenSession(api);
+    EXPECT_TRUE(sizing->Interpret({grid.NthCellCenter(0), 0}, 37, 0)
+                    .result.ok());
+    region_bytes = sizing->stats().cache_bytes;
+  }
+  SessionOptions options;
+  options.cache_capacity_bytes = 3 * region_bytes;
+  auto session = engine.OpenSession(api, options);
+
+  for (uint64_t round = 0; round < 400; ++round) {
+    std::vector<EngineRequest> requests = RandomRequests(
+        64, d, num_classes, util::Rng::MixSeed(/*seed=*/41, round));
+    auto responses = session->InterpretAll(requests, /*seed=*/43 + round);
+    for (size_t i = 0; i < responses.size(); ++i) {
+      ASSERT_TRUE(responses[i].result.ok())
+          << "round " << round << " request " << i << ": "
+          << responses[i].result.status().ToString();
+    }
+  }
+  EXPECT_GT(session->stats().evictions, 0u);
+  EXPECT_GT(session->stats().cache_hits, 0u);
+  // Engine totals: the sizing session spent queries on the same api.
+  EXPECT_EQ(engine.stats().queries, api.query_count());
 }
 
 // ---------------------------------------------------------------------------

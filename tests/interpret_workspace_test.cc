@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "grid_plm.h"
 #include "interpret/interpretation_engine.h"
 #include "nn/plnn.h"
 
@@ -199,7 +200,6 @@ TEST(WorkspacePoolTest, SequentialMissesShareOnePooledWorkspace) {
   api::PredictionApi api(&plm);
   EngineConfig config;
   config.num_threads = 1;
-  config.use_region_cache = false;  // every request is a miss-path solve
   InterpretationEngine engine(config);
   EXPECT_EQ(engine.workspace_pool_size(), 0u);  // grown on demand
   auto session = engine.OpenSession(api);
@@ -208,11 +208,15 @@ TEST(WorkspacePoolTest, SequentialMissesShareOnePooledWorkspace) {
   uint64_t second_allocs = 0, third_allocs = 0;
   for (int i = 0; i < 6; ++i) {
     Vec x0 = rng.UniformVector(d, 0.2, 0.8);
+    // The one region would serve every later request from the cache;
+    // clearing it first makes each request a miss-path solve.
+    session->ClearCache();
     const uint64_t before = g_thread_allocs;
     auto response = session->Interpret({x0, 0}, /*seed=*/19, i);
     const uint64_t allocs = g_thread_allocs - before;
     ASSERT_TRUE(response.result.ok())
         << response.result.status().ToString();
+    ASSERT_EQ(response.cache_outcome, CacheOutcome::kMiss);
     ASSERT_EQ(response.shrink_iterations, 1u);
     if (i == 1) second_allocs = allocs;
     if (i == 2) third_allocs = allocs;
@@ -227,24 +231,25 @@ TEST(WorkspacePoolTest, ConcurrentRequestsNeverShareAWorkspace) {
   // 32 distinct-region misses on a 4-thread private pool: each in-flight
   // request leases its own workspace (the pool's Release CHECKs
   // exclusivity; TSan would flag any shared buffer), and the pool ends
-  // no larger than the number of lanes that can run at once.
+  // no larger than the number of lanes that can run at once. One request
+  // per grid cell forces every request through a lease.
   const size_t d = 5;
   util::Rng model_rng(23);
-  OneRegionPlm plm(d, 3, &model_rng);
-  api::PredictionApi api(&plm);
+  GridPlm grid(d, 3, /*k=*/6, &model_rng);
+  api::PredictionApi api(&grid);
   EngineConfig config;
   config.num_threads = 4;
-  config.use_region_cache = false;  // force every request through a lease
   InterpretationEngine engine(config);
   auto session = engine.OpenSession(api);
-  util::Rng rng(29);
   std::vector<EngineRequest> requests;
   for (size_t i = 0; i < 32; ++i) {
-    requests.push_back({rng.UniformVector(d, 0.2, 0.8), i % 3});
+    requests.push_back({grid.NthCellCenter(i), i % 3});
   }
   auto responses = session->InterpretAll(requests, /*seed=*/31);
   for (size_t i = 0; i < responses.size(); ++i) {
     ASSERT_TRUE(responses[i].result.ok()) << "request " << i;
+    EXPECT_EQ(responses[i].cache_outcome, CacheOutcome::kMiss)
+        << "request " << i;
   }
   EXPECT_GE(engine.workspace_pool_size(), 1u);
   // ParallelFor runs one block inline on the caller plus the workers.

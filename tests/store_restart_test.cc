@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "api/plm.h"
+#include "grid_plm.h"
 #include "interpret/interpretation_engine.h"
 #include "store/region_store.h"
 #include "util/file_io.h"
@@ -35,62 +36,6 @@ namespace {
 std::string TempPath(const std::string& name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
-
-/// k x k axis-aligned grid of locally linear cells over dims 0 and 1 —
-/// the same backend the region-index session tests use: each cell is a
-/// genuine region whose exact local model the test can hand to
-/// ImportRegion, so API predictions and imported models agree and the
-/// 2-query validation pair succeeds.
-class GridPlm : public api::Plm {
- public:
-  GridPlm(size_t d, size_t num_classes, size_t k, util::Rng* rng)
-      : d_(d), num_classes_(num_classes), k_(k) {
-    cells_.reserve(k * k);
-    for (size_t cell = 0; cell < k * k; ++cell) {
-      api::LocalLinearModel model;
-      model.weights = linalg::Matrix(d, num_classes);
-      for (size_t j = 0; j < d; ++j) {
-        for (size_t c = 0; c < num_classes; ++c) {
-          model.weights(j, c) = rng->Uniform(-0.5, 0.5);
-        }
-      }
-      model.bias = rng->UniformVector(num_classes, -0.5, 0.5);
-      model.bias[cell % num_classes] += 4.0;
-      cells_.push_back(std::move(model));
-    }
-  }
-
-  size_t dim() const override { return d_; }
-  size_t num_classes() const override { return num_classes_; }
-  Vec Predict(const Vec& x) const override {
-    return api::EvaluateLocalModel(cells_[CellOf(x)], x);
-  }
-
-  const api::LocalLinearModel& CellModel(size_t i, size_t j) const {
-    return cells_[i * k_ + j];
-  }
-  Vec CellCenter(size_t i, size_t j) const {
-    Vec x(d_, 0.5);
-    x[0] = (static_cast<double>(i) + 0.5) / static_cast<double>(k_);
-    x[1] = (static_cast<double>(j) + 0.5) / static_cast<double>(k_);
-    return x;
-  }
-  double CellHalfEdge() const { return 0.5 / static_cast<double>(k_); }
-
- private:
-  size_t CellOf(const Vec& x) const {
-    auto axis = [this](double v) {
-      double scaled = v * static_cast<double>(k_);
-      if (scaled < 0.0) scaled = 0.0;
-      size_t idx = static_cast<size_t>(scaled);
-      return idx >= k_ ? k_ - 1 : idx;
-    };
-    return axis(x[0]) * k_ + axis(x[1]);
-  }
-
-  size_t d_, num_classes_, k_;
-  std::vector<api::LocalLinearModel> cells_;
-};
 
 std::unique_ptr<store::RegionStore> OpenStore(const std::string& path,
                                               size_t dim,
