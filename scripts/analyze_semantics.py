@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Whole-program semantic static analysis over the exported compilation
-database: the four global rules the invariant linter (regex-level) and
-Clang's -Werror=thread-safety (function-local) cannot express.
+"""Whole-program semantic static analysis over the source tree: the four
+global rules the invariant linter (regex-level) and Clang's
+-Werror=thread-safety (function-local) cannot express.
 
   lock-order         Deadlock-freedom proof. Every nested lock acquisition
                      (a MutexLock / WriterMutexLock / ReaderMutexLock
@@ -61,127 +61,38 @@ Clang's -Werror=thread-safety (function-local) cannot express.
 Waivers MUST carry a non-empty reason: an empty waiver is itself a
 violation of the rule it tries to waive ("zero undocumented waivers").
 
-## Frontends
+## Input
 
-The analyzer is driven by compile_commands.json (every TU the build
-compiles, nothing else) and runs on one of two frontends:
-
-  * libclang — the real Clang AST via the `clang` Python bindings, when
-    importable (CI pins the libclang wheel). Receiver types, class
-    membership and statement structure come from semantic analysis.
-  * internal — a dependency-free C++ lexer + structural parser (raw
-    strings, comments, brace scopes, class/member/function extraction)
-    built in. Used automatically where libclang is unavailable (the
-    default toolchain image has no libclang), so ctest and
-    scripts/check.sh --analyze run everywhere.
-
-`--frontend auto` (default) prefers libclang and falls back — loudly — to
-the internal frontend if the import or the parse fails; forcing
-`--frontend libclang` makes any failure fatal. Both frontends feed the
-same rule engine and the same fixture suite (scripts/analyze_fixtures/,
-run by analyze_semantics_test.py), so the rules behave identically.
+The analyzer walks every *.cc under src/, tests/, bench/ and examples/
+(the translation units the build compiles), follows each TU's quoted
+includes into project headers, and parses them with a dependency-free
+lexer and structural parser: raw strings, comments, brace scopes,
+class/member/function extraction. No configure, compiler or Python
+package is needed, so it runs the same way on every checkout, and a TU
+added since the last configure cannot be missed. Files are read through
+cpp_source.py, the same walk, stripper and source model
+lint_invariants.py uses. The fixture suite (scripts/analyze_fixtures/,
+run by analyze_semantics_test.py) drives the same path.
 
 Usage:
-  analyze_semantics.py [-p BUILD_DIR] [--root DIR] [--dot FILE]
-                       [--frontend auto|internal|libclang]
+  analyze_semantics.py [--root DIR] [--dot FILE]
                        [--list-rules] [--list-waivers]
-Exit status: 0 clean, 1 violations, 2 usage/infrastructure error.
+Exit status: 0 clean, 1 violations, 2 usage/infrastructure error (no
+translation units under --root, an unwritable --dot).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-# --------------------------------------------------------------------------
-# Lexical layer (shared): comment/string stripping with raw-string support.
-# --------------------------------------------------------------------------
-
-RAW_STRING_OPEN = re.compile(r'R"([^ ()\\\t\v\f\n]{0,16})\(')
-
-
-def strip_comments_and_strings(text: str) -> str:
-    """Blanks comments, string/char literals (including C++ raw strings),
-    preserving newlines so every offset maps to a real source line."""
-    out = []
-    i, n = 0, len(text)
-    state = "code"
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line_comment"
-                out.append("  ")
-                i += 2
-            elif c == "/" and nxt == "*":
-                state = "block_comment"
-                out.append("  ")
-                i += 2
-            elif c == "R" and nxt == '"' and not (
-                    i > 0 and (text[i - 1].isalnum() or text[i - 1] == "_")):
-                m = RAW_STRING_OPEN.match(text, i)
-                if m:
-                    close = ")" + m.group(1) + '"'
-                    end = text.find(close, m.end())
-                    end = n if end == -1 else end + len(close)
-                    for ch in text[i:end]:
-                        out.append(ch if ch == "\n" else " ")
-                    i = end
-                else:
-                    out.append(c)
-                    i += 1
-            elif c == '"':
-                state = "string"
-                out.append(" ")
-                i += 1
-            elif c == "'":
-                state = "char"
-                out.append(" ")
-                i += 1
-            else:
-                out.append(c)
-                i += 1
-        elif state == "line_comment":
-            if c == "\n":
-                state = "code"
-                out.append(c)
-            else:
-                out.append(" ")
-            i += 1
-        elif state == "block_comment":
-            if c == "*" and nxt == "/":
-                state = "code"
-                out.append("  ")
-                i += 2
-            else:
-                out.append(c if c == "\n" else " ")
-                i += 1
-        else:  # string / char
-            quote = '"' if state == "string" else "'"
-            if c == "\\":
-                out.append("  ")
-                i += 2
-            elif c == quote:
-                state = "code"
-                out.append(" ")
-                i += 1
-            else:
-                out.append(c if c == "\n" else " ")
-                i += 1
-    return "".join(out)
-
-
-def line_of(text: str, offset: int) -> int:
-    return text.count("\n", 0, offset) + 1
-
+from cpp_source import SourceFile, Violation, line_of, walk
 
 # --------------------------------------------------------------------------
-# Program model: what both frontends produce and the rules consume.
+# Program model: what the frontend produces and the rules consume.
 # --------------------------------------------------------------------------
 
 MUTEX_TYPES = ("Mutex", "SharedMutex")
@@ -311,7 +222,6 @@ class Program:
     # functions declared to return Status / Result<T>
     must_use_functions: dict = field(default_factory=dict)
     files: list = field(default_factory=list)       # analyzed rel paths
-    frontend: str = "internal"
 
     def waiver_for(self, file: str, line: int, kind: str):
         """A waiver applies on its own line or the line directly above."""
@@ -336,48 +246,13 @@ def type_is_atomic(type_text: str) -> bool:
     return re.search(r"\batomic\b", type_text) is not None
 
 
-class Violation:
-    def __init__(self, rel, line, rule, message):
-        self.rel, self.line, self.rule, self.message = rel, line, rule, message
-
-    def __str__(self):
-        return f"{self.rel}:{self.line}: [{self.rule}] {self.message}"
-
-
 # --------------------------------------------------------------------------
-# Compilation database.
+# Input: the translation units and their project-header closures.
 # --------------------------------------------------------------------------
 
-@dataclass
-class CompileDb:
-    path: Path
-    entries: list
-
-    @staticmethod
-    def load(build_dir: Path) -> "CompileDb":
-        cdb = build_dir / "compile_commands.json"
-        if not cdb.is_file():
-            raise FileNotFoundError(
-                f"{cdb} not found — configure the build first "
-                "(cmake -B build -S .; CMAKE_EXPORT_COMPILE_COMMANDS is ON)")
-        return CompileDb(cdb, json.loads(cdb.read_text()))
-
-    def tus_under(self, root: Path) -> list:
-        """Absolute paths of every TU inside `root`, deduplicated."""
-        seen, out = set(), []
-        for entry in self.entries:
-            p = Path(entry["file"])
-            if not p.is_absolute():
-                p = Path(entry.get("directory", ".")) / p
-            p = p.resolve()
-            try:
-                p.relative_to(root)
-            except ValueError:
-                continue
-            if p not in seen and p.is_file():
-                seen.add(p)
-                out.append(p)
-        return out
+# Where the build's translation units live (CMakeLists.txt globs the
+# same directories).
+TU_DIRS = ("src", "tests", "bench", "examples")
 
 
 def include_closure(root: Path, tu: Path) -> list:
@@ -403,7 +278,7 @@ def include_closure(root: Path, tu: Path) -> list:
 
 
 # --------------------------------------------------------------------------
-# Internal frontend: lexer + structural parser.
+# Frontend: lexer + structural parser.
 # --------------------------------------------------------------------------
 
 ANNOTATION_MACROS = (
@@ -485,16 +360,8 @@ def blank_angle_regions(s: str) -> str:
     return "".join(out)
 
 
-class ParsedFile:
-    def __init__(self, path: Path, rel: str):
-        self.path = path
-        self.rel = rel
-        self.raw = path.read_text(encoding="utf-8", errors="replace")
-        self.code = strip_comments_and_strings(self.raw)
-
-
-class InternalFrontend:
-    """Compile-commands-driven structural analysis without a compiler."""
+class Frontend:
+    """Structural analysis of a TU list without a compiler."""
 
     def __init__(self, root: Path, tus: list):
         self.root = root
@@ -510,7 +377,7 @@ class InternalFrontend:
             for f in closure:
                 rel = f.relative_to(self.root).as_posix()
                 if rel not in files:
-                    files[rel] = ParsedFile(f, rel)
+                    files[rel] = SourceFile(f, rel)
         program.files = sorted(files)
 
         for pf in files.values():
@@ -523,6 +390,7 @@ class InternalFrontend:
         # Per-TU: member-name -> candidate classes visible in that TU,
         # used to canonicalize lock expressions.
         class_by_file = {}
+        functions_done = set()
         for info in program.classes.values():
             class_by_file.setdefault(info.file, []).append(info)
         for tu, closure in tu_closures.items():
@@ -539,19 +407,19 @@ class InternalFrontend:
             for f in closure[1:]:
                 rel = f.relative_to(self.root).as_posix()
                 pf = files.get(rel)
-                if pf is not None and not getattr(pf, "_functions_done", False):
+                if pf is not None and rel not in functions_done:
                     self._collect_functions(pf, visible, program)
-                    pf._functions_done = True
+                    functions_done.add(rel)
         return program
 
     # -- waivers ----------------------------------------------------------
 
-    def _collect_waivers(self, pf: ParsedFile, program: Program):
+    def _collect_waivers(self, pf: SourceFile, program: Program):
         program.waivers.update(collect_waivers(pf.rel, pf.raw))
 
     # -- classes and members ----------------------------------------------
 
-    def _collect_classes(self, pf: ParsedFile, program: Program):
+    def _collect_classes(self, pf: SourceFile, program: Program):
         code = pf.code
         for m in CLASS_DECL_RX.finditer(code):
             name = m.group(2)
@@ -697,7 +565,7 @@ class InternalFrontend:
         r"(?:static\s+|virtual\s+|inline\s+)*"
         r"(?:openapi::|util::)?(?:Status|Result\s*<)")
 
-    def _collect_must_use_decls(self, pf: ParsedFile, program: Program):
+    def _collect_must_use_decls(self, pf: SourceFile, program: Program):
         code = pf.code
         class_spans = []
         for cm in CLASS_DECL_RX.finditer(code):
@@ -738,7 +606,7 @@ class InternalFrontend:
         r"[A-Za-z_]\w*(?:\(\))?)*?)?"
         r"(?:\s*(?:\.|->|::)\s*)?(?P<name>[A-Za-z_]\w*)\s*\(")
 
-    def _collect_functions(self, pf: ParsedFile, visible_classes: list,
+    def _collect_functions(self, pf: SourceFile, visible_classes: list,
                            program: Program):
         code = pf.code
         if pf.rel == "src/util/mutex.h":
@@ -1024,218 +892,7 @@ class InternalFrontend:
 
 
 # --------------------------------------------------------------------------
-# libclang frontend (preferred when the bindings are importable).
-# --------------------------------------------------------------------------
-
-
-class LibclangUnavailable(Exception):
-    pass
-
-
-class LibclangFrontend:
-    """Builds the same Program model from the real Clang AST. Thread-safety
-    annotation ARGUMENTS are not exposed through libclang's C API, so they
-    are recovered from the declaration's own token stream — the AST
-    provides structure, receiver types, and statement-level discards."""
-
-    def __init__(self, root: Path, tus: list, compile_db: CompileDb):
-        self.root = root
-        self.tus = tus
-        self.db = compile_db
-        try:
-            from clang import cindex  # noqa: F401
-        except ImportError as e:
-            raise LibclangUnavailable(str(e))
-        self.cindex = __import__("clang.cindex", fromlist=["cindex"])
-
-    def build(self) -> Program:
-        ci = self.cindex
-        program = Program(root=self.root, frontend="libclang")
-        index = ci.Index.create()
-        args_by_file = {}
-        for entry in self.db.entries:
-            p = Path(entry["file"])
-            if not p.is_absolute():
-                p = Path(entry.get("directory", ".")) / p
-            args_by_file[p.resolve()] = self._clean_args(entry)
-        seen_files = set()
-        for tu_path in self.tus:
-            args = args_by_file.get(tu_path, ["-std=c++20",
-                                              f"-I{self.root}/src"])
-            tu = index.parse(str(tu_path), args=args,
-                             options=ci.TranslationUnit
-                             .PARSE_DETAILED_PROCESSING_RECORD)
-            fatal = [d for d in tu.diagnostics if d.severity >= 4]
-            if fatal:
-                raise RuntimeError(
-                    f"libclang failed to parse {tu_path}: {fatal[0]}")
-            self._walk(tu.cursor, program, seen_files)
-        program.files = sorted(
-            f.relative_to(self.root).as_posix() for f in seen_files)
-        for f in sorted(seen_files):
-            rel = f.relative_to(self.root).as_posix()
-            raw = f.read_text(encoding="utf-8", errors="replace")
-            program.waivers.update(collect_waivers(rel, raw))
-        return program
-
-    def _clean_args(self, entry) -> list:
-        raw = entry.get("arguments")
-        if raw is None:
-            raw = entry.get("command", "").split()
-        out, skip = [], True  # first token is the compiler
-        it = iter(raw)
-        next(it, None)
-        for a in it:
-            if a in ("-c", "-o"):
-                next(it, None)
-                continue
-            if a.endswith((".cc", ".cpp", ".o")):
-                continue
-            out.append(a)
-        return out
-
-    def _rel(self, cursor):
-        f = cursor.location.file
-        if f is None:
-            return None
-        p = Path(f.name).resolve()
-        try:
-            return p, p.relative_to(self.root).as_posix()
-        except ValueError:
-            return None
-
-    def _walk(self, cursor, program: Program, seen_files):
-        ci = self.cindex
-        K = ci.CursorKind
-        for c in cursor.get_children():
-            loc = self._rel(c)
-            if loc is None:
-                continue
-            path, rel = loc
-            seen_files.add(path)
-            if c.kind in (K.NAMESPACE, K.LINKAGE_SPEC):
-                self._walk(c, program, seen_files)
-            elif c.kind in (K.CLASS_DECL, K.STRUCT_DECL) and \
-                    c.is_definition():
-                self._class(c, rel, "", program, seen_files)
-            elif c.kind in (K.FUNCTION_DECL, K.CXX_METHOD, K.CONSTRUCTOR,
-                            K.DESTRUCTOR) and c.is_definition():
-                self._function(c, rel, program)
-            elif c.kind == K.FUNCTION_TEMPLATE and c.is_definition():
-                self._function(c, rel, program)
-
-    def _class(self, cursor, rel, prefix, program: Program, seen_files):
-        ci = self.cindex
-        K = ci.CursorKind
-        qname = (prefix + "::" if prefix else "") + (cursor.spelling or "")
-        info = ClassInfo(qname=qname, file=rel,
-                         line=cursor.location.line)
-        for c in cursor.get_children():
-            if c.kind == K.FIELD_DECL:
-                tokens = " ".join(t.spelling for t in c.get_tokens())
-                guards = [a[0] for a in
-                          (extract_annotation_args(tokens, "GUARDED_BY") +
-                           extract_annotation_args(tokens, "PT_GUARDED_BY"))
-                          if a]
-                after = [x for a in extract_annotation_args(
-                    tokens, "ACQUIRED_AFTER") for x in a]
-                before = [x for a in extract_annotation_args(
-                    tokens, "ACQUIRED_BEFORE") for x in a]
-                t = c.type.spelling
-                info.fields.append(Field_(
-                    name=c.spelling, type_text=t, line=c.location.line,
-                    guards=guards, acquired_after=after,
-                    acquired_before=before,
-                    is_const=c.type.is_const_qualified(),
-                    is_reference="&" in t))
-            elif c.kind in (K.CLASS_DECL, K.STRUCT_DECL) and \
-                    c.is_definition():
-                self._class(c, rel, qname, program, seen_files)
-            elif c.kind in (K.CXX_METHOD, K.CONSTRUCTOR, K.DESTRUCTOR) and \
-                    c.is_definition():
-                self._function(c, rel, program, class_name=qname)
-        prev = program.classes.get(qname)
-        if prev is None or (not prev.fields and info.fields):
-            program.classes[qname] = info
-
-    def _function(self, cursor, rel, program: Program, class_name=""):
-        ci = self.cindex
-        K = ci.CursorKind
-        if not class_name and cursor.semantic_parent is not None and \
-                cursor.semantic_parent.kind in (K.CLASS_DECL, K.STRUCT_DECL):
-            class_name = cursor.semantic_parent.spelling
-        simple_class = class_name.split("::")[-1] if class_name else ""
-        qname = (simple_class + "::" if simple_class else "") + \
-            cursor.spelling
-        fn = FunctionInfo(qname=qname, class_name=simple_class, file=rel,
-                          line=cursor.location.line)
-        header_tokens = " ".join(t.spelling for t in cursor.get_tokens()
-                                 if t.location.line <=
-                                 cursor.location.line + 3)
-        for args in extract_annotation_args(header_tokens, "REQUIRES") + \
-                extract_annotation_args(header_tokens, "REQUIRES_SHARED"):
-            for a in args:
-                fn.requires.append(self._lock_node(a, cursor, simple_class))
-        body = None
-        for c in cursor.get_children():
-            if c.kind == K.COMPOUND_STMT:
-                body = c
-        if body is not None:
-            self._body(body, fn, program, depth_stack=[])
-            # record return-type registry from the declaration itself
-            rt = cursor.result_type.spelling
-            if re.search(r"\b(Status|Result<)", rt):
-                program.must_use_functions.setdefault(
-                    cursor.spelling, set()).add(simple_class)
-            program.functions.append(fn)
-
-    def _lock_node(self, expr, cursor, simple_class):
-        member = expr.strip().split("::")[-1]
-        member = re.sub(r"^.*(?:\.|->)", "", member)
-        owner = simple_class or "?"
-        return f"{owner}::{member}"
-
-    def _body(self, node, fn: FunctionInfo, program: Program, depth_stack):
-        ci = self.cindex
-        K = ci.CursorKind
-        for c in node.get_children():
-            if c.kind == K.VAR_DECL:
-                t = re.sub(r"^(const\s+)?(\w+::)*", "", c.type.spelling)
-                if t in GUARD_TYPES:
-                    arg_tokens = " ".join(
-                        tk.spelling for tk in c.get_tokens())
-                    m = re.search(r"\((.*)\)", arg_tokens)
-                    expr = m.group(1) if m else ""
-                    node_name = self._lock_node(expr, c, fn.class_name)
-                    end = c.semantic_parent.extent.end.offset \
-                        if c.semantic_parent else 0
-                    fn.acquisitions.append(Acquisition(
-                        lock=node_name, line=c.location.line,
-                        start=c.extent.start.offset,
-                        scope_end=node.extent.end.offset))
-            elif c.kind in (K.CALL_EXPR,):
-                callee = c.spelling or ""
-                recv_type = ""
-                kids = list(c.get_children())
-                if kids and kids[0].kind == K.MEMBER_REF_EXPR:
-                    inner = list(kids[0].get_children())
-                    if inner:
-                        recv_type = inner[0].type.spelling
-                parent_is_stmt = node.kind == K.COMPOUND_STMT
-                rt = c.type.spelling
-                discarded = parent_is_stmt and \
-                    bool(re.search(r"\b(Status|Result<)", rt))
-                fn.calls.append(CallSite(
-                    name=callee, receiver_type=recv_type,
-                    line=c.location.line, offset=c.extent.start.offset,
-                    discarded=discarded))
-                self._body(c, fn, program, depth_stack)
-                continue
-            self._body(c, fn, program, depth_stack)
-
-
-# --------------------------------------------------------------------------
-# Rule engine (frontend-independent).
+# Rule engine.
 # --------------------------------------------------------------------------
 
 
@@ -1450,7 +1107,9 @@ def write_dot(program: Program, observed, declared, cycles, dot_path):
         label = ev[0].split(" ")[0].replace('"', "'")
         lines.append(f'  "{a}" -> "{b}" [{style}, label="{label}"];')
     lines.append("}")
-    Path(dot_path).write_text("\n".join(lines) + "\n")
+    dot_path = Path(dot_path)
+    dot_path.parent.mkdir(parents=True, exist_ok=True)
+    dot_path.write_text("\n".join(lines) + "\n")
 
 
 def rule_guarded_by(program: Program):
@@ -1612,44 +1271,22 @@ def analyze(program: Program, dot_path=None):
 # --------------------------------------------------------------------------
 
 
-def build_program(root: Path, build_dir: Path, frontend: str) -> Program:
-    db = CompileDb.load(build_dir)
-    tus = db.tus_under(root)
+def build_program(root: Path) -> Program:
+    tus = walk(root, TU_DIRS, (".cc",))
     if not tus:
         raise RuntimeError(
-            f"no translation units under {root} in {db.path}")
-    if frontend in ("auto", "libclang"):
-        try:
-            return LibclangFrontend(root, tus, db).build()
-        except LibclangUnavailable as e:
-            if frontend == "libclang":
-                print(f"error: libclang frontend unavailable: {e}",
-                      file=sys.stderr)
-                raise
-            print("analyze_semantics: libclang bindings not importable "
-                  f"({e}); falling back to the internal frontend",
-                  file=sys.stderr)
-        except Exception as e:  # pragma: no cover - CI resilience
-            if frontend == "libclang":
-                raise
-            print("analyze_semantics: libclang frontend FAILED "
-                  f"({type(e).__name__}: {e}); falling back to the "
-                  "internal frontend", file=sys.stderr)
-    return InternalFrontend(root, tus).build()
+            f"no translation units (*.cc) under {root} in "
+            + ", ".join(d + "/" for d in TU_DIRS))
+    return Frontend(root, tus).build()
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Whole-program semantic analysis (lock order, "
         "GUARDED_BY coverage, must-use, probe confinement)")
-    parser.add_argument("-p", "--build-dir", type=Path, default=None,
-                        help="build directory containing "
-                        "compile_commands.json (default: <root>/build)")
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent,
                         help="repository root")
-    parser.add_argument("--frontend", choices=["auto", "internal",
-                                               "libclang"], default="auto")
     parser.add_argument("--dot", type=Path, default=None,
                         help="write the lock-order graph here (Graphviz)")
     parser.add_argument("--list-rules", action="store_true")
@@ -1662,11 +1299,9 @@ def main(argv=None) -> int:
             print(r)
         return 0
 
-    root = args.root.resolve()
-    build_dir = (args.build_dir or (root / "build")).resolve()
     try:
-        program = build_program(root, build_dir, args.frontend)
-    except (FileNotFoundError, RuntimeError, LibclangUnavailable) as e:
+        program = build_program(args.root.resolve())
+    except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -1675,12 +1310,16 @@ def main(argv=None) -> int:
             print(f"{f}:{line}: {kind}({reason})")
         return 0
 
-    violations = analyze(program, dot_path=args.dot)
+    try:
+        violations = analyze(program, dot_path=args.dot)
+    except OSError as e:
+        print(f"error: cannot write {args.dot}: {e}", file=sys.stderr)
+        return 2
     for v in violations:
         print(v)
     n_waivers = len(program.waivers)
-    print(f"analyze_semantics: frontend={program.frontend} "
-          f"files={len(program.files)} classes={len(program.classes)} "
+    print(f"analyze_semantics: files={len(program.files)} "
+          f"classes={len(program.classes)} "
           f"functions={len(program.functions)} waivers={n_waivers}",
           file=sys.stderr)
     if violations:

@@ -4,12 +4,10 @@
 Each fixture under scripts/analyze_fixtures/ is a miniature repository
 root seeding exactly one rule's violation (plus clean/, the negative
 control). A fixture run overlays common/ (the util-layer stand-ins) and
-the fixture tree into a temporary directory, synthesizes the
-compile_commands.json a real configure would export, and drives the
-analyzer through the same build_program()/analyze() path CI uses — so
-the suite exercises the compilation-database plumbing, the include
-closure, the waiver parser, and every rule end to end, not just the rule
-functions in isolation.
+the fixture tree into a temporary directory and drives the analyzer
+through the same build_program()/analyze() path CI uses — so the suite
+exercises the TU walk, the include closure, the waiver parser, and every
+rule end to end, not just the rule functions in isolation.
 
 The central assertion style is exclusivity: the cycle fixture must
 produce lock-order violations and NOTHING else, and so on. A rule that
@@ -17,7 +15,6 @@ starts firing into another fixture's territory fails the suite even
 though "a violation" was still reported.
 """
 
-import json
 import shutil
 import subprocess
 import sys
@@ -33,31 +30,20 @@ import analyze_semantics as az  # noqa: E402
 FIXTURES = SCRIPTS / "analyze_fixtures"
 
 
-def materialize(name: str, tmp: str):
-    """common/ + fixture overlaid into a fresh root, with a synthesized
-    compile_commands.json covering every .cc in the tree."""
+def materialize(name: str, tmp: str) -> Path:
+    """common/ + fixture overlaid into a fresh root. No build directory:
+    the analyzer finds the TUs by walking the tree."""
     root = Path(tmp) / name
     shutil.copytree(FIXTURES / "common", root)
     shutil.copytree(FIXTURES / name, root, dirs_exist_ok=True)
-    build = root / "build"
-    build.mkdir()
-    entries = [
-        {
-            "directory": str(root),
-            "file": str(p),
-            "command": f"c++ -std=c++17 -I{root / 'src'} -c {p}",
-        }
-        for p in sorted(root.rglob("*.cc"))
-    ]
-    (build / "compile_commands.json").write_text(json.dumps(entries))
-    return root, build
+    return root
 
 
 def run_fixture(name: str, dot: bool = False):
     with tempfile.TemporaryDirectory() as tmp:
-        root, build = materialize(name, tmp)
-        program = az.build_program(root, build, "internal")
-        dot_path = (build / "lock_order.dot") if dot else None
+        root = materialize(name, tmp)
+        program = az.build_program(root)
+        dot_path = (root / "lock_order.dot") if dot else None
         violations = az.analyze(program, dot_path=dot_path)
         dot_text = dot_path.read_text() if dot else ""
         return violations, program, dot_text
@@ -163,35 +149,63 @@ class CleanFixture(unittest.TestCase):
 
 class CliContract(unittest.TestCase):
     """The exit-code contract CI depends on: 0 clean, 1 violations,
-    2 infrastructure failure (no compilation database)."""
+    2 infrastructure failure (no translation units, unwritable output)."""
 
-    def _run_cli(self, root: Path, build: Path):
+    def _run_cli(self, root: Path, *extra):
         return subprocess.run(
             [sys.executable, str(SCRIPTS / "analyze_semantics.py"),
-             "-p", str(build), "--root", str(root),
-             "--frontend", "internal"],
+             "--root", str(root), *extra],
             capture_output=True, text=True)
 
     def test_clean_exits_zero(self):
         with tempfile.TemporaryDirectory() as tmp:
-            root, build = materialize("clean", tmp)
-            proc = self._run_cli(root, build)
+            root = materialize("clean", tmp)
+            proc = self._run_cli(root)
             self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
     def test_violations_exit_one(self):
         with tempfile.TemporaryDirectory() as tmp:
-            root, build = materialize("cycle", tmp)
-            proc = self._run_cli(root, build)
+            root = materialize("cycle", tmp)
+            proc = self._run_cli(root)
             self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
             self.assertIn("lock-order", proc.stdout)
 
-    def test_missing_compile_commands_exits_two(self):
+    def test_tree_without_build_dir_reports_new_tu(self):
+        # A TU nothing has configured yet is still analyzed: the input is
+        # the tree itself, so no stale TU list can hide a violation.
+        with tempfile.TemporaryDirectory() as tmp:
+            root = materialize("unguarded", tmp)
+            self.assertFalse((root / "build").exists())
+            proc = self._run_cli(root)
+            self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+            self.assertIn("[guarded-by]", proc.stdout)
+            self.assertIn("hits_", proc.stdout)
+
+    def test_no_translation_units_exits_two(self):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             (root / "src").mkdir()
-            proc = self._run_cli(root, root / "no-such-build")
+            (root / "src" / "only.h").write_text("struct S {};\n")
+            proc = self._run_cli(root)
             self.assertEqual(proc.returncode, 2)
-            self.assertIn("compile_commands.json", proc.stderr)
+            self.assertIn("no translation units", proc.stderr)
+
+    def test_dot_into_missing_directory_exits_zero(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = materialize("clean", tmp)
+            dot = root / "out" / "nested" / "lock_order.dot"
+            proc = self._run_cli(root, "--dot", str(dot))
+            self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+            self.assertIn("digraph lock_order", dot.read_text())
+
+    def test_unwritable_dot_exits_two(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = materialize("clean", tmp)
+            blocker = root / "not-a-dir"
+            blocker.write_text("")
+            proc = self._run_cli(root, "--dot", str(blocker / "x.dot"))
+            self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+            self.assertIn("cannot write", proc.stderr)
 
     def test_list_rules_names_all_four(self):
         proc = subprocess.run(

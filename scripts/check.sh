@@ -3,8 +3,9 @@
 #
 #   scripts/check.sh            # tier-1: configure, build, full ctest
 #   scripts/check.sh --lint     # invariant linter + its selftest only
-#   scripts/check.sh --analyze  # semantic analyzer over the compilation
-#                               # database (+ selftest, + lock_order.dot)
+#   scripts/check.sh --analyze  # semantic analyzer over the source tree
+#                               # (+ selftest, + lock_order.dot); no
+#                               # configure, no build
 #   scripts/check.sh --asan     # ASan+UBSan build, full ctest
 #   scripts/check.sh --tsan     # TSan build, concurrent+fault tests
 #
@@ -27,14 +28,10 @@ case "$mode" in
     python3 scripts/lint_invariants_test.py
     ;;
   --analyze)
-    # The analyzer reads the exported compilation database; a configure
-    # (no build) is enough to produce it. Mirrors the CI lint job: same
-    # flags, same lock_order.dot destination.
-    if [ ! -f build/compile_commands.json ]; then
-      cmake -B build -S .
-    fi
-    python3 scripts/analyze_semantics.py -p build \
-      --dot build/lock_order.dot
+    # The analyzer walks the tree itself, so this runs on a fresh
+    # checkout. Mirrors the CI lint job: same flags, same lock_order.dot
+    # destination (created if build/ does not exist yet).
+    python3 scripts/analyze_semantics.py --dot build/lock_order.dot
     python3 scripts/analyze_semantics_test.py
     ;;
   --asan)

@@ -70,7 +70,9 @@ entry (so `ctest` and `scripts/check.sh --lint` can't drift from CI):
 
 Code rules are applied to comment- and string-stripped sources, so prose
 may mention the banned constructs freely; the test-label rules read raw
-text (the marker is a comment).
+text (the marker is a comment). The walk, the stripper and the per-file
+views come from cpp_source.py, which analyze_semantics.py reads the tree
+through too.
 
 Usage:
   lint_invariants.py [--root DIR]     lint the whole tree (default: repo)
@@ -87,117 +89,9 @@ import re
 import sys
 from pathlib import Path
 
-# --------------------------------------------------------------------------
-# Source model
-# --------------------------------------------------------------------------
-
-
-RAW_STRING_OPEN = re.compile(r'R"([^ ()\\\t\v\f\n]{0,16})\(')
-
-
-def strip_comments_and_strings(text: str) -> str:
-    """Blanks out comments, string and char literals, preserving newlines
-    (and therefore line numbers) so rule hits report real locations.
-
-    C++ raw string literals (R"( ... )", with an optional delimiter as in
-    R"delim( ... )delim") are handled as a unit: their payload may contain
-    unescaped quotes and backslashes, so feeding them through the ordinary
-    string state machine desyncs it — the embedded `"` would terminate the
-    literal early and everything after it would be classified as code
-    (false positives) or swallowed as string (false negatives)."""
-    out = []
-    i, n = 0, len(text)
-    state = "code"
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line_comment"
-                out.append("  ")
-                i += 2
-            elif c == "/" and nxt == "*":
-                state = "block_comment"
-                out.append("  ")
-                i += 2
-            elif c == "R" and nxt == '"' and not (
-                    i > 0 and (text[i - 1].isalnum() or text[i - 1] == "_")):
-                m = RAW_STRING_OPEN.match(text, i)
-                if m:
-                    # Blank everything up to and including the matching
-                    # )delim" terminator; newlines survive (raw strings may
-                    # span lines and line numbers must stay stable). An
-                    # unterminated raw string blanks to EOF, like an
-                    # unterminated block comment.
-                    close = ")" + m.group(1) + '"'
-                    end = text.find(close, m.end())
-                    end = n if end == -1 else end + len(close)
-                    for ch in text[i:end]:
-                        out.append(ch if ch == "\n" else " ")
-                    i = end
-                else:
-                    # R"..." that is not a valid raw-string opener (e.g. a
-                    # delimiter over 16 chars): treat R as ordinary code and
-                    # let the quote start a normal string.
-                    out.append(c)
-                    i += 1
-            elif c == '"':
-                state = "string"
-                out.append(" ")
-                i += 1
-            elif c == "'":
-                state = "char"
-                out.append(" ")
-                i += 1
-            else:
-                out.append(c)
-                i += 1
-        elif state == "line_comment":
-            if c == "\n":
-                state = "code"
-                out.append(c)
-            else:
-                out.append(" ")
-            i += 1
-        elif state == "block_comment":
-            if c == "*" and nxt == "/":
-                state = "code"
-                out.append("  ")
-                i += 2
-            else:
-                out.append(c if c == "\n" else " ")
-                i += 1
-        elif state in ("string", "char"):
-            quote = '"' if state == "string" else "'"
-            if c == "\\":
-                out.append("  ")
-                i += 2
-            elif c == quote:
-                state = "code"
-                out.append(" ")
-                i += 1
-            else:
-                out.append(c if c == "\n" else " ")
-                i += 1
-    return "".join(out)
-
-
-class SourceFile:
-    def __init__(self, path: Path, rel: str):
-        self.path = path
-        self.rel = rel  # repo-relative, '/'-separated: what rules match on
-        self.raw = path.read_text(encoding="utf-8", errors="replace")
-        self.code = strip_comments_and_strings(self.raw)
-        self.code_lines = self.code.splitlines()
-        self.raw_lines = self.raw.splitlines()
-
-
-class Violation:
-    def __init__(self, rel: str, line: int, rule: str, message: str):
-        self.rel, self.line, self.rule, self.message = rel, line, rule, message
-
-    def __str__(self) -> str:
-        return f"{self.rel}:{self.line}: [{self.rule}] {self.message}"
+# strip_comments_and_strings is re-exported for the selftest.
+from cpp_source import (  # noqa: F401
+    SourceFile, Violation, line_of, strip_comments_and_strings, walk)
 
 
 def grep(lines, pattern):
@@ -265,7 +159,7 @@ def rule_locked_requires(files):
             continue
         for m in LOCKED_NAME.finditer(f.code):
             name = m.group(1)
-            line_no = f.code.count("\n", 0, m.start()) + 1
+            line_no = line_of(f.code, m.start())
             seen.setdefault(name, (f.rel, line_no))
             # Statement window: from the match to the terminating ';' or
             # the body's '{'. An annotated declaration carries REQUIRES
@@ -475,15 +369,8 @@ LINTED_DIRS = ("src", "tests", "bench", "examples", "scripts")
 
 
 def collect_files(root: Path):
-    files = []
-    for rel_dir in LINTED_DIRS:
-        base = root / rel_dir
-        if not base.is_dir():
-            continue
-        for path in sorted(base.rglob("*")):
-            if path.is_file() and path.suffix in LINTED_SUFFIXES:
-                files.append(
-                    SourceFile(path, path.relative_to(root).as_posix()))
+    files = [SourceFile(path, path.relative_to(root).as_posix())
+             for path in walk(root, LINTED_DIRS, LINTED_SUFFIXES)]
     top_cmake = root / "CMakeLists.txt"
     if top_cmake.is_file():
         files.append(SourceFile(top_cmake, "CMakeLists.txt"))

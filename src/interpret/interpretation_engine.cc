@@ -747,7 +747,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
   //     read back and validated against the SAME 2-query pair — so a
   //     disk hit costs exactly what a RAM hit costs (2 queries) and
   //     saves the entire extraction.
-  if (store_ != nullptr && !options.bypass_disk_tier) {
+  if (store_ != nullptr) {
     api::LocalLinearModel reloaded;
     if (ReloadFromStore(x0, y0, probe, y_probe, argmax, &reloaded,
                         &spills)) {

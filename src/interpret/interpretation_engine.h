@@ -119,11 +119,6 @@
 // engine's destructor blocks until every task it submitted has finished,
 // so destroying the engine after abandoning a future/stream is safe;
 // destroying the API before its session's outstanding work is not.
-//
-// The pre-session free-standing entry points (Interpret/InterpretAll/
-// SubmitAsync/InterpretStream taking an api argument, plus engine-level
-// cache_size/ClearCache) lived one release as deprecated shims and are
-// now REMOVED: sessions are the only serving surface.
 
 #ifndef OPENAPI_INTERPRET_INTERPRETATION_ENGINE_H_
 #define OPENAPI_INTERPRET_INTERPRETATION_ENGINE_H_
@@ -779,8 +774,7 @@ class InterpretationEngine {
   std::shared_ptr<EndpointSession> OpenSession(
       const api::PredictionApi& api, const SessionOptions& options) const;
 
-  /// Aggregate counters across every session (legacy and OpenSession'd)
-  /// this engine served.
+  /// Aggregate counters across every session this engine opened.
   EngineStats stats() const;
   void ResetStats() const;
 

@@ -47,14 +47,6 @@ struct RequestOptions {
   /// Cooperative cancellation handle (empty = never cancelled).
   util::CancelToken cancel;
 
-  /// Skip the session's persistent tier (store::RegionStore) on a RAM
-  /// miss: the request pays a fresh extraction instead of reloading a
-  /// persisted region. Latency-sensitive callers use this to keep disk
-  /// reads off their path; it is also the A/B switch the warm-restart
-  /// bench uses to price the disk tier. No effect when the session has no
-  /// store attached.
-  bool bypass_disk_tier = false;
-
   /// Time source for every clock read this request's controls trigger —
   /// deadline checks, chunk planning, retry backoff sleeps. Null means
   /// the real steady clock; tests inject a util::FakeClock to make

@@ -7,7 +7,6 @@
 //     features;
 //   * the byte budget is a hard ceiling — the cache_bytes gauge never
 //     exceeds it through import/eviction churn;
-//   * bypass_disk_tier keeps disk reads off the request path;
 //   * an evicted region comes back as a kDiskHit, not a re-extraction;
 //   * a learned box GROWN by traffic is spilled on eviction and still
 //     covers its traffic after a restart;
@@ -268,58 +267,6 @@ TEST(StoreRestartTest, EvictedRegionComesBackAsDiskHit) {
   const EngineStats stats = session->stats();
   EXPECT_EQ(stats.cache_misses, 0u);
   EXPECT_GE(stats.disk_hits, 1u);
-  session.reset();
-}
-
-// ---------------------------------------------------------------------------
-// bypass_disk_tier: a RAM miss with the flag set pays a fresh extraction
-// instead of consulting the log; without it the same state produces a
-// kDiskHit. This is the latency-sensitive caller's escape hatch and the
-// warm-restart bench's A/B switch.
-// ---------------------------------------------------------------------------
-TEST(StoreRestartTest, BypassDiskTierForcesExtraction) {
-  constexpr size_t kGrid = 4, kDim = 4, kClasses = 3;
-  const std::string path = TempPath("bypass.rlog");
-  (void)util::RemoveFile(path);  // best-effort scratch cleanup
-
-  util::Rng model_rng(23);
-  GridPlm grid(kDim, kClasses, kGrid, &model_rng);
-  api::PredictionApi api(&grid);
-  auto store = OpenStore(path, kDim, kClasses);
-
-  EngineConfig config;
-  config.num_threads = 1;
-  InterpretationEngine engine(config);
-  SessionOptions options;
-  options.store = store.get();
-  auto session = engine.OpenSession(api, options);
-  ASSERT_TRUE(session
-                  ->ImportRegion(grid.CellModel(1, 2), grid.CellCenter(1, 2),
-                                 grid.CellHalfEdge())
-                  .ok());
-  ASSERT_EQ(store->size(), 1u);
-  session->ClearCache();  // RAM cold, log warm
-
-  // Bypass on: the persisted region is ignored, extraction is paid.
-  Vec p1 = grid.CellCenter(1, 2);
-  p1[0] += 0.3 * grid.CellHalfEdge();
-  RequestOptions bypass;
-  bypass.bypass_disk_tier = true;
-  auto miss = session->Interpret({p1, 0, bypass}, /*seed=*/41, /*stream=*/0);
-  ASSERT_TRUE(miss.result.ok()) << miss.result.status().ToString();
-  EXPECT_EQ(miss.cache_outcome, CacheOutcome::kMiss);
-  EXPECT_GT(miss.queries, 2u);
-  EXPECT_EQ(session->stats().disk_hits, 0u);
-  EXPECT_EQ(session->stats().cache_misses, 1u);
-
-  // Bypass off, same cold-RAM state: the log serves it for 2 queries.
-  session->ClearCache();
-  Vec p2 = grid.CellCenter(1, 2);
-  p2[1] -= 0.3 * grid.CellHalfEdge();
-  auto hit = session->Interpret({p2, 0, {}}, /*seed=*/41, /*stream=*/1);
-  ASSERT_TRUE(hit.result.ok()) << hit.result.status().ToString();
-  EXPECT_EQ(hit.cache_outcome, CacheOutcome::kDiskHit);
-  EXPECT_EQ(hit.queries, 2u);
   session.reset();
 }
 
