@@ -222,9 +222,9 @@ void InterpretLoop(benchmark::State& state, linalg::KernelPolicy policy,
       options.deadline =
           std::chrono::steady_clock::now() + std::chrono::hours(1);
     }
-    uint64_t consumed = 0;
+    interpret::RequestCost cost;
     auto result = interpreter.InterpretCounted(
-        *api, x0, 0, &rng, &consumed, options, nullptr, nullptr,
+        *api, x0, 0, &rng, &cost, options, nullptr,
         pooled_workspace ? &pooled : nullptr);
     benchmark::DoNotOptimize(result);
   }

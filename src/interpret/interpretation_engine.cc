@@ -1,8 +1,10 @@
 #include "interpret/interpretation_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 
 #include "api/ground_truth.h"
 #include "store/region_store.h"
@@ -28,6 +30,31 @@ constexpr size_t kMemoMapEntryBytes =
 
 /// Resident bytes of one entry in a region's bounded per-slot key list.
 constexpr size_t kMemoListEntryBytes = 2 * sizeof(uint64_t);
+
+/// Every EngineStats field, for the one loop that copies a session's
+/// counters out. The static_assert below catches a field added to
+/// EngineStats but not here.
+constexpr uint64_t EngineStats::* kStatFields[] = {
+    &EngineStats::requests,      &EngineStats::point_memo_hits,
+    &EngineStats::cache_hits,    &EngineStats::disk_hits,
+    &EngineStats::cache_misses,  &EngineStats::evictions,
+    &EngineStats::failures,      &EngineStats::queries,
+    &EngineStats::store_appends, &EngineStats::drift_events,
+    &EngineStats::stale_invalidations,
+    &EngineStats::wasted_queries, &EngineStats::retries,
+    &EngineStats::region_bytes,  &EngineStats::memo_bytes,
+    &EngineStats::index_bytes,   &EngineStats::cache_bytes,
+};
+static_assert(sizeof(EngineStats) ==
+              std::size(kStatFields) * sizeof(uint64_t));
+static_assert(alignof(EngineStats) >=
+              std::atomic_ref<uint64_t>::required_alignment);
+
+/// Lock-free view of one field of a session's counter block.
+std::atomic_ref<uint64_t> Counter(EngineStats& stats,
+                                  uint64_t EngineStats::* field) {
+  return std::atomic_ref<uint64_t>(stats.*field);
+}
 
 /// Core parameters of `model` for class c against every c' != c, in the
 /// order Interpretation::pairs documents.
@@ -116,7 +143,6 @@ EndpointSession::EndpointSession(const InterpretationEngine* engine,
                                  size_t capacity, size_t byte_budget,
                                  store::RegionStore* store)
     : engine_(engine),
-      engine_stats_(engine->stats_),
       api_(api),
       capacity_(capacity),
       byte_budget_(byte_budget),
@@ -133,79 +159,23 @@ EndpointSession::EndpointSession(const InterpretationEngine* engine,
   }
 }
 
-EndpointSession::~EndpointSession() {
-  // The session's RESIDENCY leaves the engine aggregate with it; its
-  // historical activity counters stay. Direct engine-side subtraction
-  // (not BumpGauge): the session side is being destroyed anyway. Goes
-  // through the co-owned engine_stats_, never engine_ — the session may
-  // be the last thing standing after the engine's own destruction.
-  engine_stats_->region_bytes.fetch_sub(
-      stats_.region_bytes.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  engine_stats_->memo_bytes.fetch_sub(
-      stats_.memo_bytes.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  engine_stats_->index_bytes.fetch_sub(
-      stats_.index_bytes.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-}
-
-EngineStats EndpointSession::Snapshot(const StatCounters& counters) {
-  EngineStats s;
-  s.requests = counters.requests.load(std::memory_order_relaxed);
-  s.point_memo_hits =
-      counters.point_memo_hits.load(std::memory_order_relaxed);
-  s.cache_hits = counters.cache_hits.load(std::memory_order_relaxed);
-  s.disk_hits = counters.disk_hits.load(std::memory_order_relaxed);
-  s.cache_misses = counters.cache_misses.load(std::memory_order_relaxed);
-  s.evictions = counters.evictions.load(std::memory_order_relaxed);
-  s.failures = counters.failures.load(std::memory_order_relaxed);
-  s.queries = counters.queries.load(std::memory_order_relaxed);
-  s.store_appends = counters.store_appends.load(std::memory_order_relaxed);
-  s.drift_events = counters.drift_events.load(std::memory_order_relaxed);
-  s.stale_invalidations =
-      counters.stale_invalidations.load(std::memory_order_relaxed);
-  s.wasted_queries = counters.wasted_queries.load(std::memory_order_relaxed);
-  s.retries = counters.retries.load(std::memory_order_relaxed);
-  s.region_bytes = counters.region_bytes.load(std::memory_order_relaxed);
-  s.memo_bytes = counters.memo_bytes.load(std::memory_order_relaxed);
-  s.index_bytes = counters.index_bytes.load(std::memory_order_relaxed);
-  s.cache_bytes = s.region_bytes + s.memo_bytes + s.index_bytes;
-  return s;
-}
-
-void EndpointSession::Reset(StatCounters& counters) {
-  // Activity counters only: the byte gauges track LIVE residency and
-  // must stay in sync with the cache contents across a stats reset.
-  counters.requests.store(0, std::memory_order_relaxed);
-  counters.point_memo_hits.store(0, std::memory_order_relaxed);
-  counters.cache_hits.store(0, std::memory_order_relaxed);
-  counters.disk_hits.store(0, std::memory_order_relaxed);
-  counters.cache_misses.store(0, std::memory_order_relaxed);
-  counters.evictions.store(0, std::memory_order_relaxed);
-  counters.failures.store(0, std::memory_order_relaxed);
-  counters.queries.store(0, std::memory_order_relaxed);
-  counters.store_appends.store(0, std::memory_order_relaxed);
-  counters.drift_events.store(0, std::memory_order_relaxed);
-  counters.stale_invalidations.store(0, std::memory_order_relaxed);
-  counters.wasted_queries.store(0, std::memory_order_relaxed);
-  counters.retries.store(0, std::memory_order_relaxed);
-}
-
-void EndpointSession::Bump(std::atomic<uint64_t> StatCounters::* counter,
+void EndpointSession::Bump(uint64_t EngineStats::* counter,
                            uint64_t n) const {
-  (stats_.*counter).fetch_add(n, std::memory_order_relaxed);
-  ((*engine_stats_).*counter).fetch_add(n, std::memory_order_relaxed);
+  // A zero bump skips the atomic add: point-memo hits charge no queries.
+  if (n != 0) {
+    Counter(stats_, counter).fetch_add(n, std::memory_order_relaxed);
+  }
 }
 
-void EndpointSession::BumpGauge(std::atomic<uint64_t> StatCounters::* gauge,
+void EndpointSession::BumpGauge(uint64_t EngineStats::* gauge,
                                 int64_t delta) const {
   // Negative deltas wrap through unsigned arithmetic and cancel exactly
   // against the positive ones, so the gauge reads correct at any point
   // where its mutations are ordered (they all run under the writer lock).
   const uint64_t d = static_cast<uint64_t>(delta);
-  (stats_.*gauge).fetch_add(d, std::memory_order_relaxed);
-  ((*engine_stats_).*gauge).fetch_add(d, std::memory_order_relaxed);
+  Counter(stats_, gauge).fetch_add(d, std::memory_order_relaxed);
+  Counter(stats_, &EngineStats::cache_bytes)
+      .fetch_add(d, std::memory_order_relaxed);
 }
 
 size_t EndpointSession::SlotBytes(const CachedRegion& region) {
@@ -216,9 +186,8 @@ size_t EndpointSession::SlotBytes(const CachedRegion& region) {
 }
 
 size_t EndpointSession::CacheBytesLocked() const {
-  return stats_.region_bytes.load(std::memory_order_relaxed) +
-         stats_.memo_bytes.load(std::memory_order_relaxed) +
-         stats_.index_bytes.load(std::memory_order_relaxed);
+  return Counter(stats_, &EngineStats::cache_bytes)
+      .load(std::memory_order_relaxed);
 }
 
 size_t EndpointSession::OccupiedLocked() const {
@@ -227,9 +196,10 @@ size_t EndpointSession::OccupiedLocked() const {
 
 void EndpointSession::RefreshIndexBytesLocked() const {
   const uint64_t now = index_.memory_bytes();
-  const uint64_t before = stats_.index_bytes.load(std::memory_order_relaxed);
+  const uint64_t before = Counter(stats_, &EngineStats::index_bytes)
+                              .load(std::memory_order_relaxed);
   if (now != before) {
-    BumpGauge(&StatCounters::index_bytes,
+    BumpGauge(&EngineStats::index_bytes,
               static_cast<int64_t>(now - before));
   }
 }
@@ -269,11 +239,12 @@ EndpointSession::PointKey EndpointSession::PointKeyOf(const Vec& x0) {
 bool EndpointSession::RegionMatches(const api::LocalLinearModel& model,
                                     const Vec& x, const Vec& y) const {
   Vec predicted = api::EvaluateLocalModel(model, x);
-  double worst = 0.0;
+  const double tol = engine_->config().match_tol;
   for (size_t k = 0; k < y.size(); ++k) {
-    worst = std::max(worst, std::fabs(predicted[k] - y[k]));
+    // Negated so a NaN difference fails too.
+    if (!(std::fabs(predicted[k] - y[k]) <= tol)) return false;
   }
-  return worst <= engine_->config().match_tol;
+  return true;
 }
 
 size_t EndpointSession::FindMatchingRegion(const Vec& x0, const Vec& y0,
@@ -345,11 +316,11 @@ void EndpointSession::DropRegionAuxLocked(size_t slot) const {
     auto it = point_memo_.find(key);
     if (it != point_memo_.end() && it->second == slot) {
       point_memo_.erase(it);
-      BumpGauge(&StatCounters::memo_bytes,
+      BumpGauge(&EngineStats::memo_bytes,
                 -static_cast<int64_t>(kMemoMapEntryBytes));
     }
   }
-  BumpGauge(&StatCounters::memo_bytes,
+  BumpGauge(&EngineStats::memo_bytes,
             -static_cast<int64_t>(victim.points.size() * kMemoListEntryBytes));
   victim.points.clear();
   index_.Remove(slot);
@@ -397,7 +368,7 @@ size_t EndpointSession::EvictOneLocked(
       spills->push_back(std::move(record));
     }
   }
-  BumpGauge(&StatCounters::region_bytes,
+  BumpGauge(&EngineStats::region_bytes,
             -static_cast<int64_t>(SlotBytes(victim)));
   // One step removes the victim from every auxiliary structure
   // (fingerprint map, memo, index) — there is no code path that
@@ -417,7 +388,7 @@ size_t EndpointSession::EvictOneLocked(
     evicted_fingerprints_.clear();
   }
   evicted_fingerprints_.insert(victim_fingerprint);
-  Bump(&StatCounters::evictions);
+  Bump(&EngineStats::evictions);
   RefreshIndexBytesLocked();
   return slot;
 }
@@ -426,7 +397,7 @@ void EndpointSession::FilePointLocked(const PointKey& key,
                                       size_t slot) const {
   auto [it, inserted] = point_memo_.emplace(key, slot);
   if (inserted) {
-    BumpGauge(&StatCounters::memo_bytes,
+    BumpGauge(&EngineStats::memo_bytes,
               static_cast<int64_t>(kMemoMapEntryBytes));
   } else {
     if (it->second == slot) return;
@@ -437,15 +408,15 @@ void EndpointSession::FilePointLocked(const PointKey& key,
     auto oldest = point_memo_.find(region.points.front());
     if (oldest != point_memo_.end() && oldest->second == slot) {
       point_memo_.erase(oldest);
-      BumpGauge(&StatCounters::memo_bytes,
+      BumpGauge(&EngineStats::memo_bytes,
                 -static_cast<int64_t>(kMemoMapEntryBytes));
     }
     region.points.erase(region.points.begin());
-    BumpGauge(&StatCounters::memo_bytes,
+    BumpGauge(&EngineStats::memo_bytes,
               -static_cast<int64_t>(kMemoListEntryBytes));
   }
   region.points.push_back(key);
-  BumpGauge(&StatCounters::memo_bytes,
+  BumpGauge(&EngineStats::memo_bytes,
             static_cast<int64_t>(kMemoListEntryBytes));
 }
 
@@ -482,7 +453,7 @@ size_t EndpointSession::InsertRegion(
       regions_.push_back(std::move(incoming));
     }
     by_fingerprint_.emplace(fingerprint, slot);
-    BumpGauge(&StatCounters::region_bytes,
+    BumpGauge(&EngineStats::region_bytes,
               static_cast<int64_t>(SlotBytes(regions_[slot])));
     index_.Insert(slot, lo, hi);
     if (evicted_fingerprints_.erase(fingerprint) > 0 && outcome != nullptr) {
@@ -522,7 +493,7 @@ void EndpointSession::WriteThrough(const api::LocalLinearModel& model,
     OPENAPI_LOG(Warning) << "region write-through failed: "
                          << appended.status().message();
   } else if (*appended) {
-    Bump(&StatCounters::store_appends);
+    Bump(&EngineStats::store_appends);
   }
 }
 
@@ -535,7 +506,7 @@ void EndpointSession::PersistSpills(
         OPENAPI_LOG(Warning) << "eviction spill persist failed: "
                              << appended.status().message();
       } else if (*appended) {
-        Bump(&StatCounters::store_appends);
+        Bump(&EngineStats::store_appends);
       }
     }
   }
@@ -585,6 +556,15 @@ Result<size_t> EndpointSession::ImportRegion(api::LocalLinearModel model,
     return Status::InvalidArgument(
         "imported model/anchor shape does not match the endpoint");
   }
+  // A non-finite entry or edge would file a NaN or inverted box into the
+  // index and, through the write-through, into every replay of the log.
+  if (!linalg::AllFinite(anchor) || !linalg::AllFinite(model.bias) ||
+      !model.weights.AllFinite() ||
+      !(std::isfinite(edge_length) && edge_length >= 0.0)) {
+    return Status::InvalidArgument(
+        "imported model, anchor and edge_length must be finite, with "
+        "edge_length >= 0");
+  }
   const Vec y0 = api::EvaluateLocalModel(model, anchor);
   const size_t argmax = linalg::ArgMax(y0);
   const uint64_t fingerprint =
@@ -612,8 +592,7 @@ Result<size_t> EndpointSession::ImportRegion(api::LocalLinearModel model,
 
 Result<Interpretation> EndpointSession::InterpretCached(
     const Vec& x0, size_t c, const RequestOptions& options, util::Rng* rng,
-    uint64_t* consumed, CacheOutcome* outcome, size_t* iterations,
-    ProbeRetryStats* retry_stats) const {
+    RequestCost* cost, CacheOutcome* outcome) const {
   const EngineConfig& config = engine_->config();
   // 1. Point memo: an exact repeat of a previously answered x0 (any class)
   //    costs zero API queries — except every drift_check_interval-th memo
@@ -640,7 +619,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
         drift_check_model = region.model;
       } else {
         region.hits.fetch_add(1, std::memory_order_relaxed);
-        Bump(&StatCounters::point_memo_hits);
+        Bump(&EngineStats::point_memo_hits);
         *outcome = CacheOutcome::kPointMemo;
         return CachedAnswer(region.model, c, /*probe=*/nullptr,
                             config.validation_edge);
@@ -657,20 +636,26 @@ Result<Interpretation> EndpointSession::InterpretCached(
   //    pair is timed into the endpoint's latency estimate like any probe
   //    chunk.
   OPENAPI_RETURN_NOT_OK(EnforceRequestOptions(
-      options, *consumed, 2, 2.0 * EffectiveRowLatency(*api_)));
+      options, cost->queries, 2, 2.0 * EffectiveRowLatency(*api_)));
   Vec probe =
       SampleHypercube(x0, config.validation_edge, /*count=*/1, rng)[0];
   // The pair goes through the retry-aware dispatch path, so a transient
   // endpoint refusal is retried under the request's retry budget instead
-  // of failing the request, and refused-attempt charges land in
-  // retry_stats — accounting stays exact against api.query_count().
+  // of failing the request, and refused-attempt charges land in *cost —
+  // accounting stays exact against api.query_count().
   std::vector<Vec> pair_points{x0, probe};
   std::vector<Vec> pair(2);
-  OPENAPI_RETURN_NOT_OK(DispatchProbes(*api_, pair_points, options,
-                                       consumed, &pair, /*out_offset=*/0,
-                                       retry_stats));
+  OPENAPI_RETURN_NOT_OK(DispatchProbes(*api_, pair_points, options, cost,
+                                       &pair, /*out_offset=*/0));
   const Vec& y0 = pair[0];
   const Vec& y_probe = pair[1];
+  // A non-finite answer certifies nothing: it must neither validate a
+  // cached model nor seed an extraction that cannot solve.
+  if (!linalg::AllFinite(y0) || !linalg::AllFinite(y_probe)) {
+    return Status::NumericalError(
+        "endpoint answered the validation pair with non-finite "
+        "probabilities");
+  }
   const size_t argmax = linalg::ArgMax(y0);
 
   // 2a. Drift check resolution: the memoized model either still explains
@@ -682,12 +667,12 @@ Result<Interpretation> EndpointSession::InterpretCached(
   if (drift_check_model.has_value()) {
     if (RegionMatches(*drift_check_model, x0, y0) &&
         RegionMatches(*drift_check_model, probe, y_probe)) {
-      Bump(&StatCounters::point_memo_hits);
+      Bump(&EngineStats::point_memo_hits);
       *outcome = CacheOutcome::kPointMemo;
       return CachedAnswer(*drift_check_model, c, &probe,
                           config.validation_edge);
     }
-    Bump(&StatCounters::drift_events);
+    Bump(&EngineStats::drift_events);
     InvalidateStaleRegions();
     drift_refetch = true;
   }
@@ -734,7 +719,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
         }
       }
       PersistSpills(&spills);
-      Bump(&StatCounters::cache_hits);
+      Bump(&EngineStats::cache_hits);
       *outcome = CacheOutcome::kMemoryHit;
       return CachedAnswer(*model, c, &probe, config.validation_edge);
     }
@@ -752,7 +737,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
     if (ReloadFromStore(x0, y0, probe, y_probe, argmax, &reloaded,
                         &spills)) {
       PersistSpills(&spills);
-      Bump(&StatCounters::disk_hits);
+      Bump(&EngineStats::disk_hits);
       *outcome = CacheOutcome::kDiskHit;
       return CachedAnswer(reloaded, c, &probe, config.validation_edge);
     }
@@ -764,25 +749,24 @@ Result<Interpretation> EndpointSession::InterpretCached(
   //    read off the cached model (gauge invariance). A saturated class 0
   //    is handled inside the solver (adaptive reference class, converted
   //    back to reference-0 pairs), so the canonical column-0-pinned gauge
-  //    is preserved here either way. The solver reports the queries it
-  //    actually consumed, so stats stay exact even when it fails — and it
-  //    receives the request's controls with the 2 validation queries
-  //    already deducted from the budget, so the request as a whole never
-  //    overspends.
-  Bump(&StatCounters::cache_misses);
+  //    is preserved here either way. The solver adds the queries it
+  //    actually consumed to the ledger, so stats stay exact even when it
+  //    fails — and it receives the request's controls with the 2
+  //    validation queries already deducted from the budget, so the
+  //    request as a whole never overspends.
+  Bump(&EngineStats::cache_misses);
   *outcome = drift_refetch ? CacheOutcome::kStaleRefetch : CacheOutcome::kMiss;
   OpenApiInterpreter interpreter(config.openapi);
-  // The solver receives the request's ORIGINAL controls plus the 2
-  // validation queries as its consumed seed (in/out), so its budget
+  // The solver receives the request's ORIGINAL controls and its ledger,
+  // which already holds the 2 validation queries, so its budget
   // gates — and their rejection messages — account in request totals;
   // and y0 is handed over as the anchor prediction, so a miss does not
   // bill the endpoint (or the request's budget) for x0 twice. The
   // solver's scratch comes from the engine's workspace pool: every miss
   // after a worker's first runs allocation-free inside the solver.
   InterpretationEngine::WorkspaceLease lease(*engine_);
-  auto solved = interpreter.InterpretCounted(*api_, x0, 0, rng, consumed,
-                                             options, iterations, &y0,
-                                             lease.get(), retry_stats);
+  auto solved = interpreter.InterpretCounted(*api_, x0, 0, rng, cost,
+                                             options, &y0, lease.get());
   if (!solved.ok()) {
     return solved.status();
   }
@@ -796,7 +780,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
   out.probes = std::move(solved->probes);
   out.iterations = solved->iterations;
   out.edge_length = solved->edge_length;
-  out.queries = *consumed;
+  out.queries = cost->queries;
   // The solver certified the model on probes drawn from the final
   // consistent hypercube [x0 - edge, x0 + edge] per dimension — the
   // region's learned box starts as exactly that certificate, in RAM and
@@ -819,10 +803,14 @@ Result<Interpretation> EndpointSession::InterpretCached(
 
 Result<Interpretation> EndpointSession::Serve(
     const EngineRequest& request, uint64_t seed, uint64_t stream,
-    uint64_t* consumed, CacheOutcome* outcome, size_t* iterations,
-    ProbeRetryStats* retry_stats) const {
+    RequestCost* cost, CacheOutcome* outcome) const {
   if (request.x0.size() != api_->dim()) {
     return Status::InvalidArgument("x0 dimensionality mismatch");
+  }
+  // A non-finite x0 has no region: its answers are NaN, so no cached
+  // model could be certified for it and no extraction could solve.
+  if (!linalg::AllFinite(request.x0)) {
+    return Status::InvalidArgument("x0 has a non-finite entry");
   }
   if (request.c >= api_->num_classes() || api_->num_classes() < 2) {
     return Status::InvalidArgument("bad class configuration");
@@ -831,33 +819,27 @@ Result<Interpretation> EndpointSession::Serve(
   // is rejected before it touches the cache or the endpoint.
   OPENAPI_RETURN_NOT_OK(CheckRequestControls(request.options, 0, 0));
   util::Rng rng(util::Rng::MixSeed(seed, stream));
-  return InterpretCached(request.x0, request.c, request.options, &rng,
-                         consumed, outcome, iterations, retry_stats);
+  return InterpretCached(request.x0, request.c, request.options, &rng, cost,
+                         outcome);
 }
 
 EngineResponse EndpointSession::Interpret(const EngineRequest& request,
                                           uint64_t seed,
                                           uint64_t stream) const {
   util::Timer timer;
-  Bump(&StatCounters::requests);
-  uint64_t consumed = 0;
+  Bump(&EngineStats::requests);
+  RequestCost cost;
   CacheOutcome outcome = CacheOutcome::kBypass;
-  size_t iterations = 0;
-  ProbeRetryStats retry_stats;
-  Result<Interpretation> result = Serve(request, seed, stream, &consumed,
-                                        &outcome, &iterations, &retry_stats);
-  if (!result.ok()) Bump(&StatCounters::failures);
-  if (consumed > 0) Bump(&StatCounters::queries, consumed);
-  if (retry_stats.wasted_queries > 0) {
-    Bump(&StatCounters::wasted_queries, retry_stats.wasted_queries);
-  }
-  if (retry_stats.retries > 0) {
-    Bump(&StatCounters::retries, retry_stats.retries);
-  }
+  Result<Interpretation> result = Serve(request, seed, stream, &cost,
+                                        &outcome);
+  if (!result.ok()) Bump(&EngineStats::failures);
+  Bump(&EngineStats::queries, cost.queries);
+  Bump(&EngineStats::wasted_queries, cost.wasted_queries);
+  Bump(&EngineStats::retries, cost.retries);
   EngineResponse response{std::move(result)};
-  response.queries = consumed;
+  response.queries = cost.queries;
   response.cache_outcome = outcome;
-  response.shrink_iterations = iterations;
+  response.shrink_iterations = cost.iterations;
   response.latency_ms = timer.ElapsedMillis();
   return response;
 }
@@ -890,12 +872,10 @@ std::future<EngineResponse> EndpointSession::SubmitAsync(
         EngineResponse response = self->Interpret(request, seed, stream);
         response.latency_ms = queue_timer.ElapsedMillis();
         // Drop the session reference BEFORE the future is made ready
-        // (packaged_task publishes the result after this returns). If it
-        // survived until the worker destroyed its std::function — which
-        // happens after EndAsyncTask below, i.e. after the engine's
-        // destructor drain — a caller tearing down right after get()
-        // could lose the session/engine under a still-referencing
-        // worker, and ~EndpointSession would touch a dead engine.
+        // (packaged_task publishes the result after this returns), so a
+        // caller tearing down right after get() holds the last reference
+        // and the session dies on the caller's thread, not later on a
+        // pool worker after the engine's destructor drain.
         self.reset();
         return response;
       });
@@ -934,9 +914,8 @@ SessionStream EndpointSession::InterpretStream(
       }
       shared->ready.NotifyAll();
       // Same ordering rule as SubmitAsync: the worker's session/stream
-      // references must die before EndAsyncTask opens the engine's
-      // destructor drain gate — a last-reference release after it would
-      // run ~EndpointSession against a destroyed engine.
+      // references die before EndAsyncTask opens the engine's destructor
+      // drain gate.
       self.reset();
       shared.reset();
       engine->EndAsyncTask();
@@ -950,9 +929,13 @@ size_t EndpointSession::cache_size() const {
   return OccupiedLocked();
 }
 
-EngineStats EndpointSession::stats() const { return Snapshot(stats_); }
-
-void EndpointSession::ResetStats() const { Reset(stats_); }
+EngineStats EndpointSession::stats() const {
+  EngineStats out;
+  for (uint64_t EngineStats::* field : kStatFields) {
+    out.*field = Counter(stats_, field).load(std::memory_order_relaxed);
+  }
+  return out;
+}
 
 void EndpointSession::ClearCache() const {
   util::WriterMutexLock lock(cache_mutex_);
@@ -975,7 +958,7 @@ void EndpointSession::InvalidateStaleRegions() const {
   if (next > epoch_.load(std::memory_order_relaxed)) {
     epoch_.store(next, std::memory_order_relaxed);
   }
-  Bump(&StatCounters::stale_invalidations, OccupiedLocked());
+  Bump(&EngineStats::stale_invalidations, OccupiedLocked());
   ClearCacheLocked();
 }
 
@@ -987,14 +970,11 @@ void EndpointSession::ClearCacheLocked() const {
   clock_hand_ = 0;
   free_slots_.clear();
   index_.Clear();
-  // Gauges follow the residency to zero (balanced deltas keep the
-  // engine aggregate consistent across the session's lifetime).
-  BumpGauge(&StatCounters::region_bytes,
-            -static_cast<int64_t>(
-                stats_.region_bytes.load(std::memory_order_relaxed)));
-  BumpGauge(&StatCounters::memo_bytes,
-            -static_cast<int64_t>(
-                stats_.memo_bytes.load(std::memory_order_relaxed)));
+  // Gauges follow the residency to zero.
+  const EngineStats now = stats();
+  BumpGauge(&EngineStats::region_bytes,
+            -static_cast<int64_t>(now.region_bytes));
+  BumpGauge(&EngineStats::memo_bytes, -static_cast<int64_t>(now.memo_bytes));
   RefreshIndexBytesLocked();
   CheckAuxCoherenceLocked();
 }
@@ -1073,21 +1053,9 @@ std::shared_ptr<EndpointSession> InterpretationEngine::OpenSession(
 
 std::shared_ptr<EndpointSession> InterpretationEngine::OpenSession(
     const api::PredictionApi& api, const SessionOptions& options) const {
-  return std::shared_ptr<EndpointSession>(new EndpointSession(
-      this, &api,
-      options.cache_capacity > 0 ? options.cache_capacity
-                                 : config_.cache_capacity,
-      options.cache_capacity_bytes > 0 ? options.cache_capacity_bytes
-                                       : config_.cache_capacity_bytes,
-      options.store));
-}
-
-EngineStats InterpretationEngine::stats() const {
-  return EndpointSession::Snapshot(*stats_);
-}
-
-void InterpretationEngine::ResetStats() const {
-  EndpointSession::Reset(*stats_);
+  return std::shared_ptr<EndpointSession>(
+      new EndpointSession(this, &api, options.cache_capacity,
+                          options.cache_capacity_bytes, options.store));
 }
 
 }  // namespace openapi::interpret

@@ -43,15 +43,15 @@
 // request via WorkspaceLease), so the solver's first-iteration buffer
 // growth is paid once per worker, not once per miss.
 //
-// Session caches are BOUNDED two ways: `EngineConfig::cache_capacity`
-// (or the SessionOptions override) caps the region COUNT, and
-// `cache_capacity_bytes` caps the cache's measured RESIDENT BYTES —
-// region model payloads + point-memo keys + region-index boxes, the
-// gauges EngineStats reports. Inserts past either bound evict via a
-// second-chance clock over per-region hit counters (hot regions survive,
-// cold ones cycle out; evictions surface in EngineStats). Evicting a
-// region also drops its point-memo keys and index entry, so a stale
-// memo can never serve a dead slot.
+// Session caches are BOUNDED two ways: `SessionOptions::cache_capacity`
+// (or OpenSession's count argument) caps the region COUNT, and
+// `SessionOptions::cache_capacity_bytes` caps the cache's measured
+// RESIDENT BYTES — region model payloads + point-memo keys +
+// region-index boxes, the gauges EngineStats reports. Inserts past
+// either bound evict via a second-chance clock over per-region hit
+// counters (hot regions survive, cold ones cycle out; evictions surface
+// in EngineStats). Evicting a region also drops its point-memo keys
+// and index entry, so a stale memo can never serve a dead slot.
 //
 // ## The persistent tier (store::RegionStore)
 //
@@ -107,17 +107,20 @@
 // that is Theorem 2 plus gauge invariance).
 //
 // Query accounting is exact under concurrency and in every error path:
-// the solver reports the queries it actually consumed (success, failure,
-// budget rejection) via InterpretCounted, and session/engine totals are
-// sums of those, matching the api's atomic query_count when the session
-// is the api's only client — including when `api` is an ApiReplicaSet,
-// whose per-replica counters sum to the same total.
+// each request carries one RequestCost ledger from the session down to
+// the probe dispatcher, which counts every query the endpoint charged
+// (success, failure, budget rejection). A session's totals are sums of
+// its requests' ledgers, matching the api's atomic query_count when the
+// session is the api's only client — including when `api` is an
+// ApiReplicaSet, whose per-replica counters sum to the same total.
 //
-// Lifetimes: the engine must outlive every use of its sessions (sessions
-// borrow its pool and config); the api must outlive its session's last
-// request. Workers keep the session itself alive via shared_ptr, and the
-// engine's destructor blocks until every task it submitted has finished,
-// so destroying the engine after abandoning a future/stream is safe;
+// Lifetimes: the engine must outlive every request on its sessions
+// (sessions borrow its pool and config); stats() and the session's
+// destructor touch no engine state, so a session may outlive its engine
+// for those. The api must outlive its session's last request. Workers
+// keep the session itself alive via shared_ptr, and the engine's
+// destructor blocks until every task it submitted has finished, so
+// destroying the engine after abandoning a future/stream is safe;
 // destroying the API before its session's outstanding work is not.
 
 #ifndef OPENAPI_INTERPRET_INTERPRETATION_ENGINE_H_
@@ -171,19 +174,6 @@ struct EngineConfig {
   /// (util::DefaultThreadCount()) by whichever engine creates it first;
   /// > 0 gives this engine a private pool of exactly that size.
   size_t num_threads = 0;
-  /// Default region capacity of each session's cache; 0 = unbounded.
-  /// OpenSession can override per session. At capacity, inserts evict
-  /// via a second-chance clock over per-region hit counters.
-  size_t cache_capacity = 0;
-  /// Default BYTE budget of each session's cache; 0 = unbounded.
-  /// SessionOptions can override per session. The budget covers the
-  /// cache's measured resident bytes — region model payloads, point-memo
-  /// keys, and region-index boxes (the EngineStats gauges) — and is a
-  /// hard ceiling: the same clock eviction runs until the cache fits,
-  /// and a region that cannot fit even alone is served without being
-  /// cached. Orthogonal to cache_capacity; either (or both) may bound a
-  /// session.
-  size_t cache_capacity_bytes = 0;
   /// Drift detection cadence: every Nth POINT-MEMO hit re-pays the
   /// 2-query validation pair and checks the memoized model against the
   /// endpoint's live answer. 0 (the default) disables the check — memo
@@ -203,12 +193,11 @@ struct EngineConfig {
   double fingerprint_resolution = 1e-6;
 };
 
-/// Counters and gauges describing a session (or, aggregated, every
-/// session on the engine). The first block is monotonic activity since
-/// construction (or the last ResetStats); the *_bytes fields are GAUGES
-/// of current cache residency — they track live state, are NOT cleared
-/// by ResetStats, and a session's gauges leave the engine aggregate when
-/// the session is destroyed. All updates are atomic.
+/// Counters and gauges describing one session; the only declaration of
+/// the counter names. The first block is monotonic activity since the
+/// session opened; the *_bytes fields are GAUGES of current cache
+/// residency. The session keeps one EngineStats and updates every field
+/// atomically; stats() returns a copy.
 struct EngineStats {
   uint64_t requests = 0;
   uint64_t point_memo_hits = 0;  // answered with 0 API queries
@@ -242,7 +231,9 @@ struct EngineStats {
 
 /// How the session cache served one request.
 enum class CacheOutcome {
-  kBypass,          // rejected before the lookup
+  kBypass,          // rejected before the candidate lookup (bad
+                    // request, pre-flight control, non-finite
+                    // validation answer)
   kPointMemo,       // exact x0 repeat: 0 API queries
   kMemoryHit,       // candidate scan validated a RAM region: 2 queries
   kDiskHit,         // RAM missed; a region-log record validated: 2
@@ -317,15 +308,19 @@ class SessionStream {
 
 class InterpretationEngine;
 
-/// Per-session overrides and attachments for OpenSession. Zero/null
-/// fields fall back to the EngineConfig defaults, so `OpenSession(api,
+/// Per-session bounds and attachments for OpenSession. `OpenSession(api,
 /// {})` behaves exactly like the plain overload.
 struct SessionOptions {
-  /// Region-count cap of this session's cache; 0 = use
-  /// EngineConfig::cache_capacity.
+  /// Region-count cap of this session's cache; 0 = unbounded. At
+  /// capacity, inserts evict via a second-chance clock over per-region
+  /// hit counters.
   size_t cache_capacity = 0;
-  /// Byte budget of this session's cache (region payloads + memo keys +
-  /// index boxes); 0 = use EngineConfig::cache_capacity_bytes.
+  /// Byte budget of this session's cache; 0 = unbounded. The budget
+  /// covers the cache's measured resident bytes — region model payloads,
+  /// point-memo keys, and region-index boxes (the EngineStats gauges) —
+  /// and is a hard ceiling: the same clock eviction runs until the cache
+  /// fits, and a region that cannot fit even alone is served without
+  /// being cached. Either bound (or both) may apply.
   size_t cache_capacity_bytes = 0;
   /// Persistent tier: the session writes every extracted/imported region
   /// through to this store and consults it on RAM misses (kDiskHit).
@@ -346,10 +341,6 @@ class EndpointSession
  public:
   EndpointSession(const EndpointSession&) = delete;
   EndpointSession& operator=(const EndpointSession&) = delete;
-
-  /// Unwinds this session's byte gauges from the engine aggregate (its
-  /// historical activity counters stay in the aggregate).
-  ~EndpointSession();
 
   /// Serves one request synchronously. `stream` disambiguates the probe
   /// RNG stream — pass distinct values for distinct requests under one
@@ -395,21 +386,19 @@ class EndpointSession
   /// FailedPrecondition when the region cannot fit the session's byte
   /// budget even alone;
   /// InvalidArgument when the model/anchor shape does not match the
-  /// endpoint. Thread-safe.
+  /// endpoint, the anchor or model holds a non-finite entry, or
+  /// edge_length is negative or non-finite — checked before anything is
+  /// cached or written through. Thread-safe.
   Result<size_t> ImportRegion(api::LocalLinearModel model, const Vec& anchor,
                               double edge_length) const;
 
-  const api::PredictionApi& api() const { return *api_; }
   size_t cache_size() const EXCLUDES(cache_mutex_);
   /// Region capacity of this session's cache; 0 = unbounded.
   size_t cache_capacity() const { return capacity_; }
   /// Byte budget of this session's cache; 0 = unbounded.
   size_t cache_capacity_bytes() const { return byte_budget_; }
-  /// The attached persistent tier; nullptr for a RAM-only session.
-  const store::RegionStore* store() const { return store_; }
-  /// This session's own counters (the engine aggregates all sessions).
+  /// This session's counters; readable for as long as the session lives.
   EngineStats stats() const;
-  void ResetStats() const;
   /// Drops this session's cached regions, point memo, region index,
   /// and eviction bookkeeping. Safe to race with in-flight requests:
   /// they re-extract as needed.
@@ -489,58 +478,29 @@ class EndpointSession
     }
   };
 
-  /// Per-session counters and byte gauges; every bump is mirrored into
-  /// the engine's aggregate. Gauges move by balanced +/- deltas (negative
-  /// deltas wrap through unsigned arithmetic and cancel exactly), are
-  /// only mutated under the writer lock — so reads under either lock are
-  /// coherent — and are NOT touched by Reset.
-  struct StatCounters {
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> point_memo_hits{0};
-    std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> disk_hits{0};
-    std::atomic<uint64_t> cache_misses{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> failures{0};
-    std::atomic<uint64_t> queries{0};
-    std::atomic<uint64_t> store_appends{0};
-    std::atomic<uint64_t> drift_events{0};
-    std::atomic<uint64_t> stale_invalidations{0};
-    std::atomic<uint64_t> wasted_queries{0};
-    std::atomic<uint64_t> retries{0};
-
-    std::atomic<uint64_t> region_bytes{0};
-    std::atomic<uint64_t> memo_bytes{0};
-    std::atomic<uint64_t> index_bytes{0};
-  };
-
   EndpointSession(const InterpretationEngine* engine,
                   const api::PredictionApi* api, size_t capacity,
                   size_t byte_budget, store::RegionStore* store);
-
-  static EngineStats Snapshot(const StatCounters& counters);
-  static void Reset(StatCounters& counters);
 
   /// 128-bit hash of x0's raw double bits; collision odds are negligible,
   /// so point-memo hits never revalidate against the API.
   static PointKey PointKeyOf(const Vec& x0);
 
-  void Bump(std::atomic<uint64_t> StatCounters::* counter,
-            uint64_t n = 1) const;
+  void Bump(uint64_t EngineStats::* counter, uint64_t n = 1) const;
 
-  /// Moves a byte gauge by a signed delta in the session AND engine
-  /// counters (two's-complement wraparound makes +/- deltas cancel
-  /// exactly in the unsigned atomics). Gauge mutations happen only under
-  /// the writer lock.
-  void BumpGauge(std::atomic<uint64_t> StatCounters::* gauge,
-                 int64_t delta) const REQUIRES(cache_mutex_);
+  /// Moves a byte gauge, and cache_bytes with it, by a signed delta
+  /// (two's-complement wraparound makes +/- deltas cancel exactly in the
+  /// unsigned counters). Gauge mutations happen only under the writer
+  /// lock.
+  void BumpGauge(uint64_t EngineStats::* gauge, int64_t delta) const
+      REQUIRES(cache_mutex_);
 
   /// Resident bytes one cached region pins: the slot struct + its model
   /// payload + its anchor (memo keys and index boxes are accounted by
   /// their own gauges).
   static size_t SlotBytes(const CachedRegion& region);
 
-  /// Sum of the three byte gauges — the value the byte budget bounds.
+  /// The cache_bytes gauge — the value the byte budget bounds.
   size_t CacheBytesLocked() const REQUIRES(cache_mutex_);
 
   /// Occupied slots: regions_.size() minus the vacated free slots.
@@ -558,17 +518,18 @@ class EndpointSession
                                std::vector<store::RegionRecord>* spills)
       const REQUIRES(cache_mutex_);
 
+  /// Validates the request (shape, class, finite x0, pre-flight
+  /// controls) and serves it through InterpretCached. Everything the
+  /// request spends lands in *cost; *outcome says how the cache served
+  /// it (kBypass when it was rejected before the lookup).
   Result<Interpretation> Serve(const EngineRequest& request, uint64_t seed,
-                               uint64_t stream, uint64_t* consumed,
-                               CacheOutcome* outcome, size_t* iterations,
-                               ProbeRetryStats* retry_stats) const;
+                               uint64_t stream, RequestCost* cost,
+                               CacheOutcome* outcome) const;
 
   Result<Interpretation> InterpretCached(const Vec& x0, size_t c,
                                          const RequestOptions& options,
-                                         util::Rng* rng, uint64_t* consumed,
-                                         CacheOutcome* outcome,
-                                         size_t* iterations,
-                                         ProbeRetryStats* retry_stats) const;
+                                         util::Rng* rng, RequestCost* cost,
+                                         CacheOutcome* outcome) const;
 
   /// Returns the slot whose model explains (x0, y0) and (probe, y_probe),
   /// or SIZE_MAX. Takes the shared (reader) lock itself. `argmax` is the
@@ -655,6 +616,9 @@ class EndpointSession
   void FilePointLocked(const PointKey& key, size_t slot) const
       REQUIRES(cache_mutex_);
 
+  /// True when `model` predicts `y` at `x` within match_tol in every
+  /// class. A non-finite difference (a NaN or infinite answer or
+  /// prediction) never matches.
   bool RegionMatches(const api::LocalLinearModel& model, const Vec& x,
                      const Vec& y) const;
 
@@ -670,12 +634,6 @@ class EndpointSession
   void InvalidateStaleRegions() const EXCLUDES(cache_mutex_);
 
   const InterpretationEngine* const engine_;
-  /// Co-owned engine aggregate counters. Sessions may legally outlive
-  /// their engine (a shared_ptr session + outstanding futures past the
-  /// engine's scope is a supported teardown order); shared ownership
-  /// keeps the aggregate alive for the destructor's gauge subtraction
-  /// instead of reaching through a possibly-dead engine_.
-  const std::shared_ptr<StatCounters> engine_stats_;
   const api::PredictionApi* const api_;
   const size_t capacity_;     // region-count cap; 0 = unbounded
   const size_t byte_budget_;  // resident-byte cap; 0 = unbounded
@@ -720,7 +678,10 @@ class EndpointSession
   /// Point-memo hit counter driving drift_check_interval cadence.
   mutable std::atomic<uint64_t> memo_hit_ticks_{0};
 
-  mutable StatCounters stats_;
+  // analyze: unguarded(lock-free counter block: every read and write
+  // of a field goes through std::atomic_ref, in Bump, BumpGauge, stats,
+  // CacheBytesLocked and RefreshIndexBytesLocked)
+  mutable EngineStats stats_;
 };
 
 class InterpretationEngine {
@@ -761,22 +722,18 @@ class InterpretationEngine {
   size_t workspace_pool_size() const;
 
   /// Opens a serving session bound to `api` with its own endpoint-scoped
-  /// cache. `cache_capacity` overrides EngineConfig::cache_capacity when
-  /// > 0. The engine must outlive every use of the session; `api` must
+  /// cache of at most `cache_capacity` regions (0 = unbounded). The
+  /// engine must outlive every use of the session; `api` must
   /// outlive the session's last request. Sessions are independent: open
   /// any number, on the same or distinct endpoints, from any thread.
   std::shared_ptr<EndpointSession> OpenSession(
       const api::PredictionApi& api, size_t cache_capacity = 0) const;
 
-  /// OpenSession with the full option set: per-session capacity AND byte
-  /// budget overrides, plus the persistent region store to attach (see
+  /// OpenSession with the full option set: region capacity AND byte
+  /// budget, plus the persistent region store to attach (see
   /// SessionOptions for lifetimes and sharing rules).
   std::shared_ptr<EndpointSession> OpenSession(
       const api::PredictionApi& api, const SessionOptions& options) const;
-
-  /// Aggregate counters across every session this engine opened.
-  EngineStats stats() const;
-  void ResetStats() const;
 
   const EngineConfig& config() const { return config_; }
   size_t num_threads() const { return pool_->num_threads(); }
@@ -820,12 +777,6 @@ class InterpretationEngine {
       GUARDED_BY(workspace_mutex_);
   mutable std::vector<SolverWorkspace*> free_workspaces_
       GUARDED_BY(workspace_mutex_);
-
-  /// Engine-wide aggregate, co-owned by every session it opened (see
-  /// EndpointSession::engine_stats_): the counters outlive whichever
-  /// side is destroyed last.
-  const std::shared_ptr<EndpointSession::StatCounters> stats_ =
-      std::make_shared<EndpointSession::StatCounters>();
 };
 
 }  // namespace openapi::interpret

@@ -216,34 +216,14 @@ OpenApiInterpreter::OpenApiInterpreter(OpenApiConfig config)
 Result<Interpretation> OpenApiInterpreter::Interpret(
     const api::PredictionApi& api, const Vec& x0, size_t c,
     util::Rng* rng) const {
-  return InterpretCounted(api, x0, c, rng, nullptr);
+  RequestCost cost;
+  return InterpretCounted(api, x0, c, rng, &cost);
 }
 
 Result<Interpretation> OpenApiInterpreter::InterpretCounted(
     const api::PredictionApi& api, const Vec& x0, size_t c, util::Rng* rng,
-    uint64_t* queries_consumed, const RequestOptions& options,
-    size_t* iterations, const Vec* y0_hint, SolverWorkspace* workspace,
-    ProbeRetryStats* retry_stats) const {
-  // *queries_consumed seeds the count with what the caller already spent
-  // on this request, so the budget gates (and their messages) speak in
-  // request totals, not solver-local deltas.
-  uint64_t consumed = queries_consumed != nullptr ? *queries_consumed : 0;
-  size_t iters = 0;
-  SolverWorkspace local_workspace;
-  Result<Interpretation> result = InterpretImpl(
-      api, x0, c, rng, &consumed, options, &iters, y0_hint,
-      workspace != nullptr ? workspace : &local_workspace,
-      /*caller_owned_workspace=*/workspace != nullptr, retry_stats);
-  if (queries_consumed != nullptr) *queries_consumed = consumed;
-  if (iterations != nullptr) *iterations = iters;
-  return result;
-}
-
-Result<Interpretation> OpenApiInterpreter::InterpretImpl(
-    const api::PredictionApi& api, const Vec& x0, size_t c, util::Rng* rng,
-    uint64_t* consumed, const RequestOptions& options, size_t* iterations,
-    const Vec* y0_hint, SolverWorkspace* ws, bool caller_owned_workspace,
-    ProbeRetryStats* retry_stats) const {
+    RequestCost* cost, const RequestOptions& options, const Vec* y0_hint,
+    SolverWorkspace* workspace) const {
   const size_t d = api.dim();
   const size_t num_classes = api.num_classes();
   if (x0.size() != d) {
@@ -255,6 +235,8 @@ Result<Interpretation> OpenApiInterpreter::InterpretImpl(
   if (num_classes < 2) {
     return Status::InvalidArgument("need at least two classes");
   }
+  SolverWorkspace local_workspace;
+  SolverWorkspace* ws = workspace != nullptr ? workspace : &local_workspace;
 
   Vec y0;
   if (y0_hint != nullptr) {
@@ -265,13 +247,13 @@ Result<Interpretation> OpenApiInterpreter::InterpretImpl(
     // blows rejects with zero queries), then route it through the same
     // retry-aware dispatch as every probe chunk — a transiently failing
     // endpoint costs the anchor a retry, never the request.
-    OPENAPI_RETURN_NOT_OK(EnforceRequestOptions(options, *consumed, 1,
+    OPENAPI_RETURN_NOT_OK(EnforceRequestOptions(options, cost->queries, 1,
                                                 EffectiveRowLatency(api)));
     std::vector<Vec> anchor(1, x0);
     std::vector<Vec> anchor_prediction(1);
-    OPENAPI_RETURN_NOT_OK(DispatchProbes(api, anchor, options, consumed,
+    OPENAPI_RETURN_NOT_OK(DispatchProbes(api, anchor, options, cost,
                                          &anchor_prediction,
-                                         /*out_offset=*/0, retry_stats));
+                                         /*out_offset=*/0));
     y0 = std::move(anchor_prediction[0]);
   }
 
@@ -303,16 +285,16 @@ Result<Interpretation> OpenApiInterpreter::InterpretImpl(
     // Place the iteration's probes; together with x0 they give the
     // equations of Ω (Algorithm 1 line 2). The controls gate comes
     // first: a request rejected here never started this iteration, so it
-    // is not counted in *iterations. (This gate covers the WHOLE batch's
-    // budget — an iteration the budget cannot finish is never started,
-    // because a partial probe set can't certify consistency — but it is
-    // deliberately NOT predictive for the deadline: the EWMA is an
+    // is not counted in cost->iterations. (This gate covers the WHOLE
+    // batch's budget — an iteration the budget cannot finish is never
+    // started, because a partial probe set can't certify consistency —
+    // but it is deliberately NOT predictive for the deadline: the EWMA is an
     // estimate, and refusing whole iterations on it would spuriously
     // fail feasible requests. The per-chunk gates inside DispatchProbes
     // bound the optimism to one chunk.)
     OPENAPI_RETURN_NOT_OK(
-        CheckRequestControls(options, *consumed, probes_per_iter));
-    *iterations = iter + 1;
+        CheckRequestControls(options, cost->queries, probes_per_iter));
+    cost->iterations = iter + 1;
     if (x0_saturated) {
       SampleHypercube(x0, r, probes_per_iter, rng, &ws->probes);
     } else {
@@ -337,9 +319,9 @@ Result<Interpretation> OpenApiInterpreter::InterpretImpl(
     // buffers ({y0, probe predictions...}).
     ws->predictions.resize(ws->probes.size() + 1);
     ws->predictions[0].assign(y0.begin(), y0.end());
-    OPENAPI_RETURN_NOT_OK(DispatchProbes(api, ws->probes, options,
-                                         consumed, &ws->predictions,
-                                         /*out_offset=*/1, retry_stats));
+    OPENAPI_RETURN_NOT_OK(DispatchProbes(api, ws->probes, options, cost,
+                                         &ws->predictions,
+                                         /*out_offset=*/1));
 
     bool solved = false;
     if (x0_saturated) {
@@ -361,12 +343,13 @@ Result<Interpretation> OpenApiInterpreter::InterpretImpl(
           break;
         }
         const size_t draw = std::min(deficit, top_up_cap);
-        OPENAPI_RETURN_NOT_OK(CheckRequestControls(options, *consumed, draw));
+        OPENAPI_RETURN_NOT_OK(
+            CheckRequestControls(options, cost->queries, draw));
         std::vector<Vec> extra = SampleHypercube(x0, r, draw, rng);
         std::vector<Vec> extra_predictions(draw);
-        OPENAPI_RETURN_NOT_OK(DispatchProbes(api, extra, options, consumed,
+        OPENAPI_RETURN_NOT_OK(DispatchProbes(api, extra, options, cost,
                                              &extra_predictions,
-                                             /*out_offset=*/0, retry_stats));
+                                             /*out_offset=*/0));
         top_up_cap -= draw;
         for (size_t k = 0; k < extra.size(); ++k) {
           ws->probes.push_back(std::move(extra[k]));
@@ -405,25 +388,17 @@ Result<Interpretation> OpenApiInterpreter::InterpretImpl(
     Interpretation out;
     out.dc = CombinePairEstimates(pairs);
     out.pairs = std::move(pairs);
-    if (caller_owned_workspace) {
-      // A pooled / caller-held workspace keeps its grown probe buffers
-      // for the next request; the response gets a copy (the same row
-      // copies a move would have saved are what buys the pool its
-      // zero-allocation steady state).
-      out.probes = ws->probes;
-    } else {
-      // Request-local workspace: its buffers die with the request, so
-      // hand the probe set to the caller instead of copying it.
-      out.probes = std::move(ws->probes);
-      ws->probes.clear();
-    }
+    // The workspace keeps its grown probe buffers for the next request;
+    // the response gets a copy (what buys a pooled workspace its
+    // zero-allocation steady state).
+    out.probes = ws->probes;
     out.iterations = iter + 1;
     out.edge_length = r;
     // Exact local accounting (1 for x0, probes_per_iter per iteration)
     // instead of a query-counter delta, which would also pick up
     // concurrent callers' queries when the api is shared across the
     // interpretation engine.
-    out.queries = *consumed;
+    out.queries = cost->queries;
     return out;
   }
   return Status::DidNotConverge(util::StrFormat(

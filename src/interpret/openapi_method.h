@@ -63,22 +63,22 @@
 //    cancellation) are checked before the anchor query and before every
 //    probe batch, so a request with max_queries = Q never issues more
 //    than Q queries; on rejection the consumed count reported through
-//    InterpretCounted is exact. Probe batches are additionally routed
-//    through the latency-aware chunked dispatch (probe_dispatch.h): when
-//    a deadline or cancel token is set, each batch is split into chunks
-//    sized from the endpoint's per-row latency EWMA and the controls are
-//    re-checked (predictively, for the deadline) between chunks — a slow
-//    endpoint overshoots its deadline by at most one chunk, not one
-//    batch, and partial-chunk consumption stays exact against
-//    api.query_count().
+//    InterpretCounted's RequestCost is exact. Probe batches are
+//    additionally routed through the latency-aware chunked dispatch
+//    (probe_dispatch.h): when a deadline or cancel token is set, each
+//    batch is split into chunks sized from the endpoint's per-row
+//    latency EWMA and the controls are re-checked (predictively, for the
+//    deadline) between chunks — a slow endpoint overshoots its deadline
+//    by at most one chunk, not one batch, and partial-chunk consumption
+//    stays exact against api.query_count().
 //  * The shrink loop runs out of a per-request SolverWorkspace (probe
 //    set, prediction buffer, direction matrix, QR storage + scratch,
 //    masked-row scratch) reused across iterations and across the
 //    saturated top-up path: after the first iteration the solver itself
 //    allocates nothing — probe rescales, redraws, refactorizations, and
 //    solves all overwrite the same buffers. A caller that passes no
-//    workspace gets a request-local one; results are bit-identical
-//    either way.
+//    workspace gets a request-local one; either way the result copies
+//    its probes out, so results are bit-identical.
 
 #ifndef OPENAPI_INTERPRET_OPENAPI_METHOD_H_
 #define OPENAPI_INTERPRET_OPENAPI_METHOD_H_
@@ -112,11 +112,10 @@ struct OpenApiConfig {
 /// InterpretCounted keep a request-local workspace; a caller serving many
 /// requests may hold one and amortize the first-iteration growth across
 /// requests too — the interpretation engine does exactly that with a
-/// pool of per-worker workspaces checked out per request, and a
-/// caller-supplied workspace KEEPS its probe buffers on success (the
-/// response gets a copy), so the second request onward performs zero
-/// solver allocations. Not thread-safe; one workspace per concurrent
-/// request.
+/// pool of per-worker workspaces checked out per request. A workspace
+/// KEEPS its probe buffers on success (the response gets a copy), so the
+/// second request onward performs zero solver allocations. Not
+/// thread-safe; one workspace per concurrent request.
 struct SolverWorkspace {
   std::vector<Vec> probes;       // iteration's probe points
   std::vector<Vec> predictions;  // {y0, probe predictions...}
@@ -179,49 +178,34 @@ class OpenApiInterpreter : public BlackBoxInterpreter {
                                    const Vec& x0, size_t c,
                                    util::Rng* rng) const override;
 
-  /// Interpret with exact cost reporting on every path. *queries_consumed
-  /// (if non-null) is IN/OUT: on entry, the queries the caller already
-  /// spent on this request (counted against `options` and included in the
-  /// totals, so budget rejections report the request's true consumption);
-  /// on return, the request's total, success or failure. The
-  /// interpretation engine uses this so its aggregate accounting matches
-  /// the api's atomic query_count in every error path — a failed solve
-  /// still consumed its probes. `options` carries the per-request
-  /// budget/deadline/cancel controls, enforced before every probe batch
-  /// (default: unlimited); *iterations (if non-null) reports the shrink
-  /// iterations attempted, success or failure. `y0_hint` (if non-null) is
-  /// the endpoint's prediction at x0, already paid for by the caller —
-  /// the solver then skips its own anchor query, so a cache miss in the
-  /// engine does not bill x0 twice against the request's budget.
-  /// Interpret() above is InterpretCounted with the count dropped and
-  /// default controls. `workspace` (if non-null) supplies the request's
+  /// Interpret with exact cost reporting on every path. `cost` is the
+  /// request's ledger (required) and is IN/OUT: cost->queries enters as
+  /// the queries the caller already spent on this request (counted
+  /// against `options`, so budget rejections report the request's true
+  /// consumption) and leaves as the request's total, success or failure —
+  /// a failed solve still consumed its probes. cost->iterations reports
+  /// the shrink iterations attempted; cost->wasted_queries / retries
+  /// accumulate the request's failed endpoint attempts (every endpoint
+  /// touch, the anchor included, goes through the retry-aware dispatch,
+  /// so a transiently failing endpoint costs retries, not the request).
+  /// `options` carries the per-request budget/deadline/cancel controls,
+  /// enforced before every probe batch (default: unlimited). `y0_hint`
+  /// (if non-null) is the endpoint's prediction at x0, already paid for
+  /// by the caller — the solver then skips its own anchor query, so a
+  /// cache miss in the engine does not bill x0 twice against the
+  /// request's budget. `workspace` (if non-null) supplies the request's
   /// solver scratch, letting a per-thread caller amortize buffer growth
-  /// across requests; nullptr uses a request-local workspace.
-  /// `retry_stats` (if non-null) accumulates the request's failed
-  /// endpoint attempts and wasted queries (see ProbeRetryStats) — every
-  /// endpoint touch, the anchor included, goes through the retry-aware
-  /// dispatch, so a transiently failing endpoint costs retries, not the
-  /// request.
+  /// across requests; nullptr uses a request-local workspace. Interpret()
+  /// above is InterpretCounted with a local ledger and default controls.
   Result<Interpretation> InterpretCounted(
       const api::PredictionApi& api, const Vec& x0, size_t c, util::Rng* rng,
-      uint64_t* queries_consumed, const RequestOptions& options = {},
-      size_t* iterations = nullptr, const Vec* y0_hint = nullptr,
-      SolverWorkspace* workspace = nullptr,
-      ProbeRetryStats* retry_stats = nullptr) const;
+      RequestCost* cost, const RequestOptions& options = {},
+      const Vec* y0_hint = nullptr,
+      SolverWorkspace* workspace = nullptr) const;
 
   const OpenApiConfig& config() const { return config_; }
 
  private:
-  /// `caller_owned_workspace` distinguishes a caller-supplied (pooled)
-  /// workspace from the request-local one: the former keeps its probe
-  /// buffers on success (the result gets a copy), the latter donates
-  /// them (a move; the buffers would die with the request anyway).
-  Result<Interpretation> InterpretImpl(
-      const api::PredictionApi& api, const Vec& x0, size_t c, util::Rng* rng,
-      uint64_t* consumed, const RequestOptions& options, size_t* iterations,
-      const Vec* y0_hint, SolverWorkspace* workspace,
-      bool caller_owned_workspace, ProbeRetryStats* retry_stats) const;
-
   OpenApiConfig config_;
 };
 

@@ -61,13 +61,9 @@ constexpr uint64_t kRetryBudget = 16;
 /// retry schedule bit-identically.
 constexpr uint64_t kJitterSeed = 0xb0ff;
 
-}  // namespace
-
-double EffectiveRowLatency(const api::PredictionApi& api) {
-  const double observed = api.row_latency().seconds_per_row();
-  return observed > 0.0 ? observed : kSeedSecondsPerRow;
-}
-
+/// Rows the next chunk should carry, given the request's controls and
+/// the current per-row estimate. `rows_left` > 0; the result is in
+/// [1, rows_left].
 size_t PlanChunkRows(const RequestOptions& options, double seconds_per_row,
                      size_t rows_left) {
   OPENAPI_CHECK_GT(rows_left, 0u);
@@ -94,47 +90,45 @@ size_t PlanChunkRows(const RequestOptions& options, double seconds_per_row,
   return static_cast<size_t>(planned);
 }
 
-namespace {
-
 /// Sends one chunk, absorbing retryable refusals under the retry policy.
 /// Accounting rules (the reason this is the ONLY place a chunk touches
-/// the endpoint): *consumed advances by exactly what each attempt
+/// the endpoint): cost->queries advances by exactly what each attempt
 /// charged — served or refused — so it tracks api.query_count() even
 /// through failures; every charged-but-unanswered query additionally
-/// lands in stats->wasted_queries, and each refused attempt bumps
-/// stats->retries. On success only the WINNING attempt's duration is
+/// lands in cost->wasted_queries, and each refused attempt bumps
+/// cost->retries. On success only the WINNING attempt's duration is
 /// folded into the endpoint's EWMA — backoff sleeps and refused
 /// round-trips are failure costs, not row latency.
 Status SendChunkWithRetry(const api::PredictionApi& api,
                           const std::vector<Vec>& rows,
-                          const RequestOptions& options, uint64_t* consumed,
-                          ProbeRetryStats* stats, std::vector<Vec>* out) {
+                          const RequestOptions& options, RequestCost* cost,
+                          std::vector<Vec>* out) {
   const util::Clock* clock = util::EffectiveClock(options.clock);
   // Decorrelated-jitter stream, a pure function of (seed, position): a
   // single-threaded run replays its backoff schedule bit-identically.
   util::Rng jitter(util::Rng::MixSeed(
-      kJitterSeed, *consumed ^ static_cast<uint64_t>(rows.size())));
+      kJitterSeed, cost->queries ^ static_cast<uint64_t>(rows.size())));
   double prev_sleep = kInitialBackoffSeconds;
   for (size_t attempt = 0;; ++attempt) {
     uint64_t attempt_consumed = 0;
     util::Timer timer(options.clock);
     Result<std::vector<Vec>> batch =
         api.TryPredictBatch(rows, &attempt_consumed);
-    *consumed += attempt_consumed;
+    cost->queries += attempt_consumed;
     if (batch.ok()) {
       if (attempt_consumed > rows.size()) {
         // A composite endpoint (replica set) reserved extra queries for
         // internal re-dispatch on the way to this answer: charged, but
         // no caller-visible rows came of them.
-        stats->wasted_queries += attempt_consumed - rows.size();
+        cost->wasted_queries += attempt_consumed - rows.size();
       }
       api.row_latency().Record(rows.size(), timer.ElapsedSeconds(),
                                kEwmaAlpha);
       *out = std::move(batch).ValueOrDie();
       return Status::OK();
     }
-    stats->wasted_queries += attempt_consumed;
-    stats->retries += 1;
+    cost->wasted_queries += attempt_consumed;
+    cost->retries += 1;
     const Status& refusal = batch.status();
     if (!refusal.IsRetryable()) return refusal;
     if (attempt + 1 >= kMaxAttempts) {
@@ -144,18 +138,18 @@ Status SendChunkWithRetry(const api::PredictionApi& api,
           static_cast<unsigned long long>(rows.size()),
           static_cast<unsigned long long>(kMaxAttempts),
           refusal.message().c_str(),
-          static_cast<unsigned long long>(*consumed),
-          static_cast<unsigned long long>(stats->wasted_queries),
-          static_cast<unsigned long long>(stats->retries)));
+          static_cast<unsigned long long>(cost->queries),
+          static_cast<unsigned long long>(cost->wasted_queries),
+          static_cast<unsigned long long>(cost->retries)));
     }
-    if (stats->retries >= kRetryBudget) {
+    if (cost->retries >= kRetryBudget) {
       return Status::Unavailable(util::StrFormat(
           "retry budget %llu exhausted (last refusal: %s); %llu queries "
           "consumed, %llu wasted",
           static_cast<unsigned long long>(kRetryBudget),
           refusal.message().c_str(),
-          static_cast<unsigned long long>(*consumed),
-          static_cast<unsigned long long>(stats->wasted_queries)));
+          static_cast<unsigned long long>(cost->queries),
+          static_cast<unsigned long long>(cost->wasted_queries)));
     }
     const double sleep = std::min(
         kMaxBackoffSeconds,
@@ -165,23 +159,24 @@ Status SendChunkWithRetry(const api::PredictionApi& api,
     // Re-gate before sleeping: the backoff itself must not carry the
     // request past a deadline/cancel a fresh chunk would have honored.
     OPENAPI_RETURN_NOT_OK(
-        EnforceRequestOptions(options, *consumed, rows.size(), sleep));
+        EnforceRequestOptions(options, cost->queries, rows.size(), sleep));
     clock->SleepFor(sleep);
   }
 }
 
 }  // namespace
 
+double EffectiveRowLatency(const api::PredictionApi& api) {
+  const double observed = api.row_latency().seconds_per_row();
+  return observed > 0.0 ? observed : kSeedSecondsPerRow;
+}
+
 Status DispatchProbes(const api::PredictionApi& api,
                       const std::vector<Vec>& points,
-                      const RequestOptions& options, uint64_t* consumed,
-                      std::vector<Vec>* predictions, size_t out_offset,
-                      ProbeRetryStats* retry_stats) {
+                      const RequestOptions& options, RequestCost* cost,
+                      std::vector<Vec>* predictions, size_t out_offset) {
   if (points.empty()) return Status::OK();
   OPENAPI_CHECK_GE(predictions->size(), out_offset + points.size());
-  ProbeRetryStats local_stats;  // callers that don't track still get bounds
-  ProbeRetryStats* stats =
-      retry_stats != nullptr ? retry_stats : &local_stats;
   // The endpoint's response vectors are its own allocations; assign()
   // copies them into the caller's stable row buffers and lets them go.
   auto emit = [&](const std::vector<Vec>& batch, size_t base) {
@@ -199,7 +194,7 @@ Status DispatchProbes(const api::PredictionApi& api,
     // so deadline-free traffic keeps the endpoint's estimate warm for
     // the deadlined requests that follow it.
     OPENAPI_RETURN_NOT_OK(
-        SendChunkWithRetry(api, points, options, consumed, stats, &batch));
+        SendChunkWithRetry(api, points, options, cost, &batch));
     emit(batch, 0);
     return Status::OK();
   }
@@ -211,9 +206,9 @@ Status DispatchProbes(const api::PredictionApi& api,
     const size_t rows = PlanChunkRows(options, per_row, points.size() - done);
     // Predictive gate: dispatch only if the chunk's estimated duration
     // still fits before the deadline (and the budget covers it, and no
-    // cancellation landed). Queries already charged stay in *consumed.
+    // cancellation landed). Queries already charged stay in cost->queries.
     OPENAPI_RETURN_NOT_OK(EnforceRequestOptions(
-        options, *consumed, rows, per_row * static_cast<double>(rows)));
+        options, cost->queries, rows, per_row * static_cast<double>(rows)));
     const bool whole_batch = done == 0 && rows == points.size();
     if (!whole_batch) {
       // Sub-batch rows are copied into the reusable chunk buffer; the
@@ -223,7 +218,7 @@ Status DispatchProbes(const api::PredictionApi& api,
                    points.begin() + static_cast<ptrdiff_t>(done + rows));
     }
     OPENAPI_RETURN_NOT_OK(SendChunkWithRetry(
-        api, whole_batch ? points : chunk, options, consumed, stats, &batch));
+        api, whole_batch ? points : chunk, options, cost, &batch));
     emit(batch, done);
     done += rows;
   }

@@ -29,9 +29,9 @@
 //   * cancellation reaction time is bounded by kCancelChunkSeconds for
 //     cancellable requests without a deadline;
 //   * partial consumption stays exact: every chunk is a real
-//     PredictBatch of exactly that many rows, counted into *consumed as
-//     it lands, so a mid-batch rejection reports precisely what
-//     api.query_count() saw.
+//     PredictBatch of exactly that many rows, counted into the request's
+//     RequestCost as it lands, so a mid-batch rejection reports precisely
+//     what api.query_count() saw.
 //
 // Chunking is semantically invisible: chunks run sequentially in row
 // order, so query counts and noise tickets are consumed in exactly the
@@ -65,13 +65,22 @@ namespace openapi::interpret {
 
 using linalg::Vec;
 
-/// Per-request retry accounting, surfaced as EngineStats::wasted_queries
-/// / retries. `wasted_queries` counts queries charged by attempts that
-/// produced no answer (a simple endpoint refuses before consuming — 0;
-/// a replica set may have reserved rows before a shard was refused) plus
-/// a composite endpoint's internal re-dispatch overhead on success;
-/// `retries` counts failed attempts.
-struct ProbeRetryStats {
+/// The cost ledger of one request, passed by pointer from the serving
+/// layer down to the dispatcher and surfaced as EngineStats::queries /
+/// wasted_queries / retries and EngineResponse::queries /
+/// shrink_iterations.
+///  * `queries`: every query the endpoint charged for the request, served
+///    or refused — always equal to what api.query_count() saw.
+///  * `iterations`: shrink iterations the solver attempted (0 on a cache
+///    hit).
+///  * `wasted_queries`: queries charged by attempts that produced no
+///    answer (a simple endpoint refuses before consuming — 0; a replica
+///    set may have reserved rows before a shard was refused) plus a
+///    composite endpoint's internal re-dispatch overhead on success.
+///  * `retries`: failed attempts.
+struct RequestCost {
+  uint64_t queries = 0;
+  size_t iterations = 0;
   uint64_t wasted_queries = 0;
   uint64_t retries = 0;
 };
@@ -89,35 +98,28 @@ struct ProbeRetryStats {
 /// chunk).
 double EffectiveRowLatency(const api::PredictionApi& api);
 
-/// Rows the next chunk should carry, given the request's controls and
-/// the current per-row estimate. `rows_left` > 0; the result is in
-/// [1, rows_left].
-size_t PlanChunkRows(const RequestOptions& options, double seconds_per_row,
-                     size_t rows_left);
-
 /// Sends `points` to `api` in latency-aware chunks, writing prediction i
 /// into (*predictions)[out_offset + i] (rows are assign()ed, so a
 /// workspace's prediction buffers are reused, not reallocated).
 /// `predictions` must already be sized to at least out_offset +
-/// points.size(). *consumed is advanced by exactly the queries charged,
-/// chunk by chunk — including queries a composite endpoint consumed on a
-/// REFUSED attempt — so it always matches api.query_count(); on a
-/// mid-batch rejection (Cancelled / DeadlineExceeded / BudgetExhausted /
-/// Unavailable) the queries already charged stay counted and the
-/// remainder of `points` is never sent.
+/// points.size(). cost->queries is the request's running total (the
+/// budget gates count against it) and advances by exactly the queries
+/// charged, chunk by chunk — including queries a composite endpoint
+/// consumed on a REFUSED attempt — so it always matches
+/// api.query_count(); on a mid-batch rejection (Cancelled /
+/// DeadlineExceeded / BudgetExhausted / Unavailable) the queries already
+/// charged stay counted and the remainder of `points` is never sent.
 ///
 /// Failure handling: a chunk refused with a retryable class is retried
 /// under the retry policy above (capped backoff with decorrelated
-/// jitter, each sleep re-gated against the request's controls). A non-retryable
-/// refusal propagates as-is; exhausting per-chunk attempts or the
-/// request's retry budget degrades to kUnavailable with exact counts in
-/// the message. `retry_stats` (nullable) accumulates the request's
-/// failed attempts and wasted queries across calls.
+/// jitter, each sleep re-gated against the request's controls). A
+/// non-retryable refusal propagates as-is; exhausting per-chunk attempts
+/// or the request's retry budget (counted in cost->retries across calls)
+/// degrades to kUnavailable with exact counts in the message.
 Status DispatchProbes(const api::PredictionApi& api,
                       const std::vector<Vec>& points,
-                      const RequestOptions& options, uint64_t* consumed,
-                      std::vector<Vec>* predictions, size_t out_offset,
-                      ProbeRetryStats* retry_stats = nullptr);
+                      const RequestOptions& options, RequestCost* cost,
+                      std::vector<Vec>* predictions, size_t out_offset);
 
 }  // namespace openapi::interpret
 

@@ -13,8 +13,8 @@
 // EWMA — so a request with max_queries = Q never issues more than Q API
 // queries, a deadlined request stops within one chunk (not one batch) of
 // its deadline, and every rejection reports the exact count it did
-// consume (via interpret::EngineResponse::queries and the solver's
-// queries_consumed out-parameter).
+// consume (via interpret::EngineResponse::queries and the request's
+// RequestCost ledger).
 //
 // Defaults are "unlimited": zero budget means no budget, no deadline, an
 // empty CancelToken. A default RequestOptions therefore reproduces the

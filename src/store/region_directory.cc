@@ -99,13 +99,4 @@ void RegionDirectory::CollectCandidates(const Vec& x, size_t first_argmax,
   }
 }
 
-size_t RegionDirectory::memory_bytes() const {
-  return entries_.capacity() * sizeof(Entry) +
-         boxes_.capacity() * sizeof(double) +
-         by_fingerprint_.size() *
-             (sizeof(uint64_t) + sizeof(uint32_t) + 2 * sizeof(void*)) +
-         by_class_.size() * (sizeof(uint32_t) + 3 * sizeof(void*)) +
-         entries_.size() * sizeof(uint32_t);
-}
-
 }  // namespace openapi::store

@@ -76,9 +76,6 @@ class RegionDirectory {
   size_t size() const { return entries_.size(); }
   size_t dim() const { return dim_; }
 
-  /// Approximate resident bytes (entries + boxes + hash/partition maps).
-  size_t memory_bytes() const;
-
  private:
   struct Entry {
     uint64_t fingerprint = 0;

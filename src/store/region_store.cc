@@ -113,11 +113,6 @@ RegionLog::RecoveryStats RegionStore::recovery_stats() const {
   return log_->recovery_stats();
 }
 
-size_t RegionStore::directory_bytes() const {
-  util::MutexLock lock(mutex_);
-  return directory_.memory_bytes();
-}
-
 uint32_t RegionStore::current_epoch() const {
   util::MutexLock lock(mutex_);
   return epoch_;

@@ -85,8 +85,6 @@ class RegionStore {
   uint64_t appended_records() const EXCLUDES(mutex_);
   /// Recovery outcome of the Open() that created this instance.
   RegionLog::RecoveryStats recovery_stats() const EXCLUDES(mutex_);
-  /// Approximate resident bytes of the in-memory directory.
-  size_t directory_bytes() const EXCLUDES(mutex_);
 
   /// Current drift epoch. Recovered at Open() as the max of the log
   /// header's base epoch and every replayed record's epoch, so a restart

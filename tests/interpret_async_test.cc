@@ -247,7 +247,7 @@ TEST(SessionStreamTest, SurvivesEngineAndSessionDestruction) {
 
 TEST(SessionStreamTest, StreamQueriesMatchEndpointCounter) {
   // The session stream's accounting contract (previously covered through
-  // the removed free-standing shim): engine aggregate queries equal the
+  // the removed free-standing shim): session queries equal the
   // endpoint's own counter after a full stream drains.
   lmt::LogisticModelTree tree = MakeTree(6);
   api::PredictionApi api(&tree);
@@ -262,7 +262,7 @@ TEST(SessionStreamTest, StreamQueriesMatchEndpointCounter) {
     ++count;
   }
   EXPECT_EQ(count, requests.size());
-  EXPECT_EQ(engine.stats().queries, api.query_count());
+  EXPECT_EQ(session->stats().queries, api.query_count());
 }
 
 TEST(SharedPoolTest, EnginesBorrowTheProcessPoolByDefault) {

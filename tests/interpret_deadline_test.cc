@@ -98,9 +98,9 @@ TEST(ChunkedDeadlineTest, OvershootIsBoundedByOneChunk) {
   util::Rng rng(13);
   Vec x0 = rng.UniformVector(d, 0.2, 0.8);
 
-  uint64_t consumed = 0;
+  RequestCost cost;
   auto result = interpreter.InterpretCounted(
-      api, x0, 0, &rng, &consumed,
+      api, x0, 0, &rng, &cost,
       RequestOptions::WithTimeout(milliseconds(50), &clock));
   const double elapsed_ms = clock.ElapsedSeconds() * 1e3;
 
@@ -108,11 +108,11 @@ TEST(ChunkedDeadlineTest, OvershootIsBoundedByOneChunk) {
   EXPECT_TRUE(result.status().IsDeadlineExceeded())
       << result.status().ToString();
   // Partial-chunk consumption is exact against the endpoint's counter.
-  EXPECT_EQ(consumed, api.query_count());
+  EXPECT_EQ(cost.queries, api.query_count());
   // Some chunks were dispatched (the deadline was not pre-blown)...
-  EXPECT_GE(consumed, 1u);
+  EXPECT_GE(cost.queries, 1u);
   // ...but the request never finished even its first 25-probe batch.
-  EXPECT_LT(consumed, 1u + d + 1);
+  EXPECT_LT(cost.queries, 1u + d + 1);
   // The tightness claim: with the EWMA at exactly 5 ms/row on the fake
   // clock, every chunk targets <= 25% of the remaining window
   // (<= ~12.5 ms), so the overshoot is a fraction of what one full batch
@@ -135,14 +135,14 @@ TEST(ChunkedDeadlineTest, FirstChunkPredictedPastDeadlineRejectsAtZeroQueries) {
   util::Rng rng(19);
   Vec x0 = rng.UniformVector(d, 0.2, 0.8);
 
-  uint64_t consumed = 0;
+  RequestCost cost;
   auto result = interpreter.InterpretCounted(
-      api, x0, 0, &rng, &consumed,
+      api, x0, 0, &rng, &cost,
       RequestOptions::WithTimeout(milliseconds(5), &clock));
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeadlineExceeded())
       << result.status().ToString();
-  EXPECT_EQ(consumed, 0u);
+  EXPECT_EQ(cost.queries, 0u);
   EXPECT_EQ(api.query_count(), 0u);
 }
 
@@ -194,20 +194,20 @@ TEST(ChunkedDeadlineTest, CancellationStopsAtAChunkBoundaryMidBatch) {
   util::Rng rng(41);
   Vec x0 = rng.UniformVector(d, 0.2, 0.8);
 
-  uint64_t consumed = 0;
+  RequestCost cost;
   auto result =
-      interpreter.InterpretCounted(api, x0, 0, &rng, &consumed, options);
+      interpreter.InterpretCounted(api, x0, 0, &rng, &cost, options);
   const double elapsed_ms = clock.ElapsedSeconds() * 1e3;
 
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
   // Exact partial consumption: anchor plus the chunks that completed.
-  EXPECT_EQ(consumed, api.query_count());
+  EXPECT_EQ(cost.queries, api.query_count());
   // The cancel fired at 5 rows, so at least those were served...
-  EXPECT_GE(consumed, 5u);
+  EXPECT_GE(cost.queries, 5u);
   // ...but the request must NOT have consumed the full 17-probe batch
   // the old dispatch would have finished.
-  EXPECT_LT(consumed, 1u + d + 1);
+  EXPECT_LT(cost.queries, 1u + d + 1);
   // Reaction bound: with the EWMA at 5 ms/row each chunk targets
   // kCancelChunkSeconds (10 ms) => the request returns well before the
   // 90 ms the unchunked anchor + batch would have cost.
@@ -232,17 +232,17 @@ TEST(ChunkedDispatchParityTest, ChunkingIsBitInvisibleOnFastEndpoints) {
   OpenApiInterpreter interpreter;
 
   util::Rng rng_a(53), rng_b(53);
-  uint64_t consumed_a = 0, consumed_b = 0;
+  RequestCost cost_a, cost_b;
   auto a = interpreter.InterpretCounted(
-      chunked_api, x0, 0, &rng_a, &consumed_a,
+      chunked_api, x0, 0, &rng_a, &cost_a,
       RequestOptions::WithTimeout(std::chrono::seconds(30)));
-  auto b = interpreter.InterpretCounted(plain_api, x0, 0, &rng_b, &consumed_b);
+  auto b = interpreter.InterpretCounted(plain_api, x0, 0, &rng_b, &cost_b);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(a->dc, b->dc);
   EXPECT_EQ(a->probes, b->probes);
   EXPECT_EQ(a->iterations, b->iterations);
-  EXPECT_EQ(consumed_a, consumed_b);
+  EXPECT_EQ(cost_a.queries, cost_b.queries);
   EXPECT_EQ(chunked_api.query_count(), plain_api.query_count());
   // The chunked run kept the endpoint's latency estimate warm.
   EXPECT_GT(chunked_api.row_latency().samples(), 0u);

@@ -86,18 +86,18 @@ TEST_F(OpenApiPlnnTest, WorkspaceReuseDoesNotChangeResults) {
   util::Rng rng_b(401);
   for (int trial = 0; trial < 5; ++trial) {
     Vec x0 = rng_.UniformVector(6, 0.05, 0.95);
-    uint64_t consumed_a = 0, consumed_b = 0;
+    RequestCost cost_a, cost_b;
     auto with_reuse =
-        interpreter.InterpretCounted(api_, x0, 0, &rng_a, &consumed_a, {},
-                                     nullptr, nullptr, &shared_workspace);
+        interpreter.InterpretCounted(api_, x0, 0, &rng_a, &cost_a, {},
+                                     nullptr, &shared_workspace);
     auto without = interpreter.InterpretCounted(
-        api_, x0, 0, &rng_b, &consumed_b, {}, nullptr, nullptr,
+        api_, x0, 0, &rng_b, &cost_b, {}, nullptr,
         /*workspace=*/nullptr);
     ASSERT_TRUE(with_reuse.ok());
     ASSERT_TRUE(without.ok());
     EXPECT_EQ(with_reuse->dc, without->dc) << "trial " << trial;
     EXPECT_EQ(with_reuse->probes, without->probes) << "trial " << trial;
-    EXPECT_EQ(consumed_a, consumed_b) << "trial " << trial;
+    EXPECT_EQ(cost_a.queries, cost_b.queries) << "trial " << trial;
   }
 }
 
@@ -205,10 +205,9 @@ TEST_F(OpenApiPlnnTest, UnsaturatedRequestFactorsOnce) {
   size_t multi_iteration_requests = 0;
   for (int trial = 0; trial < 20; ++trial) {
     Vec x0 = rng_.UniformVector(6, 0.05, 0.95);
-    uint64_t consumed = 0;
+    RequestCost cost;
     auto result = interpreter.InterpretCounted(api_, x0, trial % 3, &rng_,
-                                               &consumed, {}, nullptr,
-                                               nullptr, &ws);
+                                               &cost, {}, nullptr, &ws);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(ws.factorizations, 1u) << "trial " << trial;
     if (result->iterations >= 3) ++multi_iteration_requests;
@@ -268,18 +267,17 @@ TEST_F(OpenApiPlnnTest, DegenerateDirectionDrawShrinksAndRedraws) {
   SolverWorkspace ws;
   Vec x0 = rng_.UniformVector(d, 0.1, 0.9);
   api_.ResetQueryCount();
-  uint64_t consumed = 0;
-  size_t iterations = 0;
-  auto result = interpreter.InterpretCounted(api_, x0, 0, &rigged, &consumed,
-                                             {}, &iterations, nullptr, &ws);
+  RequestCost cost;
+  auto result = interpreter.InterpretCounted(api_, x0, 0, &rigged, &cost,
+                                             {}, nullptr, &ws);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(ws.factorizations, 2u);
   EXPECT_GE(result->iterations, 2u);
-  EXPECT_EQ(iterations, result->iterations);
+  EXPECT_EQ(cost.iterations, result->iterations);
   EXPECT_LE(result->edge_length, 0.5);
   // The degenerate iteration cost no probes.
-  EXPECT_EQ(consumed, 1 + (result->iterations - 1) * (d + 1));
-  EXPECT_EQ(api_.query_count(), consumed);
+  EXPECT_EQ(cost.queries, 1 + (result->iterations - 1) * (d + 1));
+  EXPECT_EQ(api_.query_count(), cost.queries);
   Vec truth = api::GroundTruthDecisionFeatures(net_.LocalModelAt(x0), 0);
   EXPECT_LT(linalg::L1Distance(result->dc, truth), 1e-6);
 #endif

@@ -129,19 +129,19 @@ TEST(SaturationRegressionTest, QueryAccountingStaysExactUnderSaturation) {
   api::PredictionApi api(&plm);
   OpenApiInterpreter interpreter;
   util::Rng rng(73);
-  uint64_t consumed = 0;
+  RequestCost cost;
   auto result = interpreter.InterpretCounted(api, SaturatedAnchor(), 1,
-                                             &rng, &consumed);
+                                             &rng, &cost);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->queries, consumed);
-  EXPECT_EQ(consumed, api.query_count());
+  EXPECT_EQ(result->queries, cost.queries);
+  EXPECT_EQ(cost.queries, api.query_count());
   // 1 anchor query, then per iteration at least the d+1 = 4 base probes
   // and at most the old uniform doubling's 2*(d+1) = 8.
-  EXPECT_GE(consumed, 1 + result->iterations * 4);
-  EXPECT_LE(consumed, 1 + result->iterations * 8);
+  EXPECT_GE(cost.queries, 1 + result->iterations * 4);
+  EXPECT_LE(cost.queries, 1 + result->iterations * 8);
   // The adaptive top-up must actually beat the uniform doubling on this
   // workload (the saturated pair recovers most of its rows per draw).
-  EXPECT_LT(consumed, 1 + result->iterations * 8);
+  EXPECT_LT(cost.queries, 1 + result->iterations * 8);
 }
 
 TEST(SaturationRegressionTest, SaturatedSolveIsBitIdenticalAcrossPolicies) {
@@ -169,10 +169,10 @@ TEST(SaturationRegressionTest, SaturatedSolveIsBitIdenticalAcrossPolicies) {
     LinearPlm other_plm(std::move(other));
     api::PredictionApi other_api(&other_plm);
     util::Rng rng(78);
-    uint64_t consumed = 0;
+    RequestCost cost;
     ASSERT_TRUE(interpreter
                     .InterpretCounted(other_api, Vec(5, 0.5), 2, &rng,
-                                      &consumed, {}, nullptr, nullptr,
+                                      &cost, {}, nullptr,
                                       &used_workspace)
                     .ok());
   }
@@ -190,21 +190,21 @@ TEST(SaturationRegressionTest, SaturatedSolveIsBitIdenticalAcrossPolicies) {
   for (const Leg& leg : legs) {
     linalg::SetKernelPolicy(leg.policy);
     util::Rng rng(77);
-    uint64_t consumed = 0;
+    RequestCost cost;
     auto result = interpreter.InterpretCounted(
-        api, SaturatedAnchor(), 0, &rng, &consumed, {}, nullptr, nullptr,
+        api, SaturatedAnchor(), 0, &rng, &cost, {}, nullptr,
         leg.workspace);
     linalg::SetKernelPolicy(linalg::KernelPolicy::kSimd);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     if (!baseline.has_value()) {
       baseline = std::move(*result);
-      baseline_consumed = consumed;
+      baseline_consumed = cost.queries;
       continue;
     }
     EXPECT_EQ(result->dc, baseline->dc);
     EXPECT_EQ(result->probes, baseline->probes);
     EXPECT_EQ(result->iterations, baseline->iterations);
-    EXPECT_EQ(consumed, baseline_consumed);
+    EXPECT_EQ(cost.queries, baseline_consumed);
   }
 }
 

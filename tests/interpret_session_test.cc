@@ -4,8 +4,10 @@
 // consumed-query reporting), bounded per-session caches with
 // second-chance eviction, and endpoint isolation between sessions.
 
+#include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -168,7 +170,7 @@ TEST(RequestBudgetTest, BudgetFlowsThroughTheSaturatedTopUpPath) {
   } plm(std::move(model));
   Vec anchor = {0.5, 0.5, 0.5};
 
-  uint64_t full_cost = 0;
+  RequestCost full_cost;
   {
     api::PredictionApi api(&plm);
     OpenApiInterpreter interpreter;
@@ -176,19 +178,19 @@ TEST(RequestBudgetTest, BudgetFlowsThroughTheSaturatedTopUpPath) {
     auto result =
         interpreter.InterpretCounted(api, anchor, 1, &rng, &full_cost);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(full_cost, api.query_count());
+    EXPECT_EQ(full_cost.queries, api.query_count());
   }
-  for (uint64_t budget = 1; budget < full_cost; ++budget) {
+  for (uint64_t budget = 1; budget < full_cost.queries; ++budget) {
     api::PredictionApi api(&plm);
     OpenApiInterpreter interpreter;
     util::Rng rng(7);
-    uint64_t consumed = 0;
+    RequestCost cost;
     auto result = interpreter.InterpretCounted(
-        api, anchor, 1, &rng, &consumed, RequestOptions::WithBudget(budget));
+        api, anchor, 1, &rng, &cost, RequestOptions::WithBudget(budget));
     ASSERT_FALSE(result.ok()) << "budget " << budget;
     EXPECT_TRUE(result.status().IsBudgetExhausted());
     EXPECT_LE(api.query_count(), budget);
-    EXPECT_EQ(consumed, api.query_count());
+    EXPECT_EQ(cost.queries, api.query_count());
   }
 }
 
@@ -381,9 +383,8 @@ TEST(SessionEvictionTest, ReExtractionOfEvictedRegionIsClassified) {
   api::PredictionApi api(&grid);
   EngineConfig config;
   config.num_threads = 1;
-  config.cache_capacity = 2;  // via EngineConfig this time
   InterpretationEngine engine(config);
-  auto session = engine.OpenSession(api);
+  auto session = engine.OpenSession(api, 2);
   EXPECT_EQ(session->cache_capacity(), 2u);
 
   // Fill and overflow: cell 0 is evicted by the third insert.
@@ -490,11 +491,13 @@ TEST(SessionEvictionTest, ByteBudgetEvictionRacingRamHitsStaysExact) {
   InterpretationEngine engine(config);
 
   uint64_t region_bytes = 0;
+  uint64_t sizing_queries = 0;
   {
     auto sizing = engine.OpenSession(api);
     EXPECT_TRUE(sizing->Interpret({grid.NthCellCenter(0), 0}, 37, 0)
                     .result.ok());
     region_bytes = sizing->stats().cache_bytes;
+    sizing_queries = sizing->stats().queries;
   }
   SessionOptions options;
   options.cache_capacity_bytes = 3 * region_bytes;
@@ -512,8 +515,103 @@ TEST(SessionEvictionTest, ByteBudgetEvictionRacingRamHitsStaysExact) {
   }
   EXPECT_GT(session->stats().evictions, 0u);
   EXPECT_GT(session->stats().cache_hits, 0u);
-  // Engine totals: the sizing session spent queries on the same api.
-  EXPECT_EQ(engine.stats().queries, api.query_count());
+  // Session totals: the sizing session spent queries on the same api.
+  EXPECT_EQ(sizing_queries + session->stats().queries, api.query_count());
+}
+
+// ---------------------------------------------------------------------------
+// Non-finite inputs and answers
+// ---------------------------------------------------------------------------
+
+/// Forwards to a wrapped model until Break(), then answers every query
+/// with NaN probabilities.
+class BreakablePlm : public api::Plm {
+ public:
+  explicit BreakablePlm(const api::Plm* inner) : inner_(inner) {}
+  size_t dim() const override { return inner_->dim(); }
+  size_t num_classes() const override { return inner_->num_classes(); }
+  Vec Predict(const Vec& x) const override {
+    if (!broken_.load()) return inner_->Predict(x);
+    return Vec(num_classes(), std::numeric_limits<double>::quiet_NaN());
+  }
+  void Break() { broken_.store(true); }
+
+ private:
+  const api::Plm* inner_;
+  std::atomic<bool> broken_{false};
+};
+
+TEST(SessionNonFiniteTest, NonFiniteX0IsRejectedBeforeTheCache) {
+  // A NaN coordinate makes every answer at x0 NaN, and a NaN answer
+  // would validate against whatever region is cached (cell 0's here),
+  // serving that region's closed form as a 2-query memory hit. The
+  // request is rejected before it touches the cache or the endpoint.
+  const size_t d = 4, num_classes = 3, k = 3;
+  util::Rng model_rng(61);
+  GridPlm grid(d, num_classes, k, &model_rng);
+  api::PredictionApi api(&grid);
+  EngineConfig config;
+  config.num_threads = 1;
+  InterpretationEngine engine(config);
+  auto session = engine.OpenSession(api);
+  ASSERT_TRUE(session->Interpret({grid.NthCellCenter(0), 0}, 67, 0)
+                  .result.ok());
+  const uint64_t warm_queries = api.query_count();
+
+  uint64_t stream = 1;
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    Vec x0 = grid.NthCellCenter(4);
+    x0[2] = bad;
+    auto response = session->Interpret({x0, 0}, 67, stream++);
+    ASSERT_FALSE(response.result.ok()) << "x0[2] = " << bad;
+    EXPECT_TRUE(response.result.status().IsInvalidArgument())
+        << response.result.status().ToString();
+    EXPECT_EQ(response.queries, 0u);
+    EXPECT_EQ(response.cache_outcome, CacheOutcome::kBypass);
+  }
+  EXPECT_EQ(api.query_count(), warm_queries);
+  EXPECT_EQ(session->stats().failures, 2u);
+  EXPECT_EQ(session->stats().cache_hits, 0u);
+}
+
+TEST(SessionNonFiniteTest, NonFiniteAnswerFailsAfterTheValidationPair) {
+  // A finite x0 whose endpoint answers NaN: the 2-query validation pair
+  // certifies nothing, so the request fails right there — it neither
+  // validates the cached region (RAM hit) nor starts an extraction
+  // (empty cache) that could never solve.
+  const size_t d = 4, num_classes = 3, k = 3;
+  util::Rng model_rng(61);
+  GridPlm grid(d, num_classes, k, &model_rng);
+  BreakablePlm plm(&grid);
+  api::PredictionApi api(&plm);
+  EngineConfig config;
+  config.num_threads = 1;
+  InterpretationEngine engine(config);
+  auto warm = engine.OpenSession(api);
+  auto cold = engine.OpenSession(api);
+  ASSERT_TRUE(warm->Interpret({grid.NthCellCenter(0), 0}, 71, 0).result.ok());
+  plm.Break();
+
+  uint64_t stream = 1;
+  for (const auto& session : {warm, cold}) {
+    const uint64_t before = api.query_count();
+    const EngineStats stats_before = session->stats();
+    auto response = session->Interpret({grid.NthCellCenter(4), 0}, 71,
+                                       stream++);
+    ASSERT_FALSE(response.result.ok());
+    EXPECT_TRUE(response.result.status().IsNumericalError())
+        << response.result.status().ToString();
+    EXPECT_EQ(response.queries, 2u);
+    EXPECT_EQ(response.shrink_iterations, 0u);
+    EXPECT_EQ(api.query_count(), before + 2);
+    const EngineStats stats = session->stats();
+    EXPECT_EQ(stats.queries, api.query_count() - before +
+                                 stats_before.queries);
+    EXPECT_EQ(stats.cache_hits, stats_before.cache_hits);
+    EXPECT_EQ(stats.cache_misses, stats_before.cache_misses);
+    EXPECT_EQ(stats.failures, 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -562,10 +660,6 @@ TEST(SessionIsolationTest, DistinctEndpointsNeverCrossContaminate) {
   EXPECT_EQ(session_a->stats().queries, api_a.query_count());
   EXPECT_EQ(session_b->stats().queries, api_b.query_count());
   EXPECT_GT(session_b->stats().cache_misses, 0u);
-  // The engine aggregate is exactly the sum of its sessions.
-  EXPECT_EQ(engine.stats().queries,
-            api_a.query_count() + api_b.query_count());
-  EXPECT_EQ(engine.stats().requests, 2 * requests.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -104,10 +104,9 @@ TEST(SolverWorkspaceClearTest, ClearKeepsEveryGrownBuffer) {
   SolverWorkspace ws;
   util::Rng rng(5);
   Vec x0 = rng.UniformVector(d, 0.2, 0.8);
-  uint64_t consumed = 0;
+  RequestCost cost;
   ASSERT_TRUE(interpreter
-                  .InterpretCounted(api, x0, 0, &rng, &consumed, {}, nullptr,
-                                    nullptr, &ws)
+                  .InterpretCounted(api, x0, 0, &rng, &cost, {}, nullptr, &ws)
                   .ok());
   ASSERT_EQ(ws.probes.size(), d + 1);  // kept: the response got a copy
   std::vector<const double*> probe_ptrs, prediction_ptrs;
@@ -150,10 +149,10 @@ TEST(SolverWorkspaceReuseTest, SecondRequestPerformsZeroSolverAllocations) {
   Vec c = rng.UniformVector(d, 0.2, 0.8);
 
   auto run = [&](const Vec& x0) {
-    uint64_t consumed = 0;
+    RequestCost cost;
     const uint64_t before = g_thread_allocs;
-    auto result = interpreter.InterpretCounted(api, x0, 0, &rng, &consumed,
-                                               {}, nullptr, nullptr, &ws);
+    auto result = interpreter.InterpretCounted(api, x0, 0, &rng, &cost,
+                                               {}, nullptr, &ws);
     const uint64_t allocs = g_thread_allocs - before;
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->iterations, 1u);  // alloc counts only compare equal

@@ -11,11 +11,14 @@
 //   * a learned box GROWN by traffic is spilled on eviction and still
 //     covers its traffic after a restart;
 //   * concurrent sessions over one shared store stay coherent (the TSan
-//     leg of the suite).
+//     leg of the suite);
+//   * ImportRegion rejects non-finite or negative input before anything
+//     reaches the cache or the log.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -413,6 +416,72 @@ TEST(StoreRestartTest, ConcurrentChurnOverSharedStoreStaysCoherent) {
             stats.requests);
   EXPECT_LE(session->cache_size(), 8u);
   session.reset();
+}
+
+// ---------------------------------------------------------------------------
+// ImportRegion validates its input before the write-through: a NaN or
+// negative edge, or a non-finite anchor or model entry, would otherwise
+// file a NaN or inverted box into the region index and, through the log,
+// into every later restart.
+// ---------------------------------------------------------------------------
+TEST(StoreRestartTest, ImportRejectsNonFiniteInputBeforeWriteThrough) {
+  constexpr size_t kDim = 4, kClasses = 3;
+  const std::string path = TempPath("import_validation.rlog");
+  (void)util::RemoveFile(path);  // best-effort scratch cleanup
+  util::Rng model_rng(31);
+  GridPlm grid(kDim, kClasses, 3, &model_rng);
+  api::PredictionApi api(&grid);
+  auto store = OpenStore(path, kDim, kClasses);
+  EngineConfig config;
+  config.num_threads = 1;
+  InterpretationEngine engine(config);
+  SessionOptions options;
+  options.store = store.get();
+  auto session = engine.OpenSession(api, options);
+  ASSERT_TRUE(session
+                  ->ImportRegion(grid.NthCellModel(0), grid.NthCellCenter(0),
+                                 grid.CellHalfEdge())
+                  .ok());
+  const size_t cached = session->cache_size();
+  const uint64_t appended = store->appended_records();
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* what;
+    api::LocalLinearModel model;
+    Vec anchor;
+    double edge;
+  };
+  // Cell 1's region: a valid import of it would be cached and appended.
+  const api::LocalLinearModel& model = grid.NthCellModel(1);
+  const Vec anchor = grid.NthCellCenter(1);
+  const double edge = grid.CellHalfEdge();
+  std::vector<Case> cases = {
+      {"NaN edge", model, anchor, nan},
+      {"negative edge", model, anchor, -edge},
+      {"infinite edge", model, anchor, inf},
+      {"NaN anchor", model, anchor, edge},
+      {"infinite anchor", model, anchor, edge},
+      {"NaN weight", model, anchor, edge},
+      {"infinite bias", model, anchor, edge},
+  };
+  cases[3].anchor[2] = nan;
+  cases[4].anchor[0] = -inf;
+  cases[5].model.weights(1, 2) = nan;
+  cases[6].model.bias[0] = inf;
+  for (const Case& c : cases) {
+    Result<size_t> slot = session->ImportRegion(c.model, c.anchor, c.edge);
+    ASSERT_FALSE(slot.ok()) << c.what;
+    EXPECT_TRUE(slot.status().IsInvalidArgument())
+        << c.what << ": " << slot.status().ToString();
+    EXPECT_EQ(session->cache_size(), cached) << c.what;
+    EXPECT_EQ(store->appended_records(), appended) << c.what;
+  }
+  // The valid import of the same region still goes through.
+  EXPECT_TRUE(session->ImportRegion(model, anchor, edge).ok());
+  EXPECT_EQ(session->cache_size(), cached + 1);
+  EXPECT_EQ(store->appended_records(), appended + 1);
 }
 
 }  // namespace
