@@ -1,11 +1,11 @@
 // Kernel-level microbenchmarks for the numeric hot path (google-benchmark;
 // CI keeps the rows via --benchmark_out=BENCH_kernels.json):
 //
-//   * GemmABt{Simd,Reference}        — the register-blocked A·Bᵀ kernel at
+//   * GemmABt, GemmABtForward        — the panel-packed A·Bᵀ kernel at
 //     solver probe-batch shapes ((d+1) x d times 2d x d, the first layer
 //     of an iteration's probe forward) and at the paper-scale layer
-//     forward; the acceptance bar is Simd >= 2x Reference.
-//   * GemmMultiply{Simd,Reference}   — the blocked i-k-j GEMM at LMT
+//     forward.
+//   * GemmMultiply                   — the blocked i-k-j GEMM at LMT
 //     leaf-group and affine-composition shapes.
 //   * LmtRoute{Walk,LevelOrder}      — per-sample pointer walk vs the
 //     level-order SoA routing pass over a whole batch.
@@ -13,20 +13,17 @@
 //     pool-parallel crossover (batch 32 .. 2048); the crossover threshold
 //     api::kParallelForwardMinBatch was picked from this sweep.
 //   * InterpretWorkspace{Pooled,PerRequest} — one full closed-form
-//     interpretation per iteration with the SolverWorkspace held across
-//     REQUESTS (the engine workspace pool's steady state: zero solver
-//     allocations after the first request) vs a request-local workspace
-//     that regrows every request (the old engine miss path).
+//     interpretation per iteration (fresh x0, no engine cache) with the
+//     SolverWorkspace held across REQUESTS (the engine workspace pool's
+//     steady state: zero solver allocations after the first request) vs
+//     a request-local workspace that regrows every request (the old
+//     engine miss path). Pooled is the headline end-to-end number: the
+//     shipped default straight through OpenApiInterpreter.
 //   * InterpretDispatchChunked       — a deadlined request (far
 //     deadline, so every batch passes through the chunk planner and the
 //     predictive gates); compare with InterpretWorkspacePooled, the same
 //     request without a deadline (one PredictBatch per batch). Chunk
 //     planning must be in the noise on fast endpoints.
-//   * InterpretEndToEnd              — the headline number: uncached
-//     interpretations/sec straight through OpenApiInterpreter (fresh x0
-//     every iteration, no engine cache), SIMD + pooled workspace (the
-//     shipped default) vs the scalar reference kernels with per-request
-//     allocation.
 
 #include <benchmark/benchmark.h>
 
@@ -41,19 +38,10 @@ linalg::Matrix RandomMatrix(size_t rows, size_t cols, util::Rng* rng) {
   return m;
 }
 
-/// Restores the default policy when a benchmark leg ends.
-struct PolicyGuard {
-  explicit PolicyGuard(linalg::KernelPolicy policy) {
-    linalg::SetKernelPolicy(policy);
-  }
-  ~PolicyGuard() { linalg::SetKernelPolicy(linalg::KernelPolicy::kSimd); }
-};
-
 // --- A·Bᵀ: solver probe-batch shape (d+1) x d times 2d x d. ---
 
-void GemmABt(benchmark::State& state, linalg::KernelPolicy policy) {
+void GemmABt(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
-  PolicyGuard guard(policy);
   util::Rng rng(kBenchSeed);
   linalg::Matrix x = RandomMatrix(d + 1, d, &rng);
   linalg::Matrix w = RandomMatrix(2 * d, d, &rng);
@@ -65,19 +53,11 @@ void GemmABt(benchmark::State& state, linalg::KernelPolicy policy) {
   state.counters["flops_per_iter"] =
       static_cast<double>(2 * (d + 1) * d * 2 * d);
 }
-void GemmABtSimd(benchmark::State& state) {
-  GemmABt(state, linalg::KernelPolicy::kSimd);
-}
-void GemmABtReference(benchmark::State& state) {
-  GemmABt(state, linalg::KernelPolicy::kReference);
-}
-BENCHMARK(GemmABtSimd)->Arg(16)->Arg(64)->Arg(256);
-BENCHMARK(GemmABtReference)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(GemmABt)->Arg(16)->Arg(64)->Arg(256);
 
 // --- A·Bᵀ: paper-scale layer forward, batch 256 through 784 -> 256. ---
 
-void GemmABtForward(benchmark::State& state, linalg::KernelPolicy policy) {
-  PolicyGuard guard(policy);
+void GemmABtForward(benchmark::State& state) {
   util::Rng rng(kBenchSeed + 1);
   linalg::Matrix x = RandomMatrix(256, 784, &rng);
   linalg::Matrix w = RandomMatrix(256, 784, &rng);
@@ -87,20 +67,12 @@ void GemmABtForward(benchmark::State& state, linalg::KernelPolicy policy) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-void GemmABtForwardSimd(benchmark::State& state) {
-  GemmABtForward(state, linalg::KernelPolicy::kSimd);
-}
-void GemmABtForwardReference(benchmark::State& state) {
-  GemmABtForward(state, linalg::KernelPolicy::kReference);
-}
-BENCHMARK(GemmABtForwardSimd);
-BENCHMARK(GemmABtForwardReference);
+BENCHMARK(GemmABtForward);
 
 // --- Blocked i-k-j GEMM: LMT leaf-group shape (n x d) * (d x C). ---
 
-void GemmMultiply(benchmark::State& state, linalg::KernelPolicy policy) {
+void GemmMultiply(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  PolicyGuard guard(policy);
   util::Rng rng(kBenchSeed + 2);
   linalg::Matrix group = RandomMatrix(n, 64, &rng);
   linalg::Matrix weights = RandomMatrix(64, 10, &rng);
@@ -110,14 +82,7 @@ void GemmMultiply(benchmark::State& state, linalg::KernelPolicy policy) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-void GemmMultiplySimd(benchmark::State& state) {
-  GemmMultiply(state, linalg::KernelPolicy::kSimd);
-}
-void GemmMultiplyReference(benchmark::State& state) {
-  GemmMultiply(state, linalg::KernelPolicy::kReference);
-}
-BENCHMARK(GemmMultiplySimd)->Arg(64)->Arg(512);
-BENCHMARK(GemmMultiplyReference)->Arg(64)->Arg(512);
+BENCHMARK(GemmMultiply)->Arg(64)->Arg(512);
 
 // --- LMT routing: pointer walk vs level-order SoA pass. ---
 
@@ -197,8 +162,8 @@ BENCHMARK(PlnnForwardBatch)->Arg(32)->Arg(128)->Arg(256)->Arg(512)->Arg(2048);
 
 // --- Solver workspace pooling and chunked dispatch. ---
 
-void InterpretLoop(benchmark::State& state, linalg::KernelPolicy policy,
-                   bool pooled_workspace, bool with_deadline) {
+void InterpretLoop(benchmark::State& state, bool pooled_workspace,
+                   bool with_deadline) {
   // The paper-scale solver workload: d = 64, C = 10, so one shrink
   // iteration forwards a 65-probe batch through a 64-128-64-10 net and
   // solves a 66 x 65 system for 9 right-hand sides.
@@ -207,7 +172,6 @@ void InterpretLoop(benchmark::State& state, linalg::KernelPolicy policy,
     return new nn::Plnn({64, 128, 64, 10}, &rng);
   }();
   static api::PredictionApi* api = new api::PredictionApi(net);
-  PolicyGuard guard(policy);
   interpret::OpenApiInterpreter interpreter;
   // Cross-request workspace, the engine pool's steady state: request 1
   // grows it, every later request runs allocation-free in the solver.
@@ -231,35 +195,20 @@ void InterpretLoop(benchmark::State& state, linalg::KernelPolicy policy,
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 void InterpretWorkspacePooled(benchmark::State& state) {
-  InterpretLoop(state, linalg::KernelPolicy::kSimd,
-                /*pooled_workspace=*/true, /*with_deadline=*/false);
+  InterpretLoop(state, /*pooled_workspace=*/true, /*with_deadline=*/false);
 }
 void InterpretWorkspacePerRequest(benchmark::State& state) {
-  InterpretLoop(state, linalg::KernelPolicy::kSimd,
-                /*pooled_workspace=*/false, /*with_deadline=*/false);
+  InterpretLoop(state, /*pooled_workspace=*/false, /*with_deadline=*/false);
 }
 // Chunked dispatch on a fast endpoint: the chunk planner's overhead
 // (clock reads, EWMA update, per-chunk gates) against
 // InterpretWorkspacePooled must be in the noise (< 3%).
 void InterpretDispatchChunked(benchmark::State& state) {
-  InterpretLoop(state, linalg::KernelPolicy::kSimd,
-                /*pooled_workspace=*/true, /*with_deadline=*/true);
-}
-// The headline end-to-end pair: everything on (the shipped default) vs
-// the scalar kernels with per-request allocation.
-void InterpretEndToEnd(benchmark::State& state) {
-  InterpretLoop(state, linalg::KernelPolicy::kSimd,
-                /*pooled_workspace=*/true, /*with_deadline=*/false);
-}
-void InterpretEndToEndPrePr(benchmark::State& state) {
-  InterpretLoop(state, linalg::KernelPolicy::kReference,
-                /*pooled_workspace=*/false, /*with_deadline=*/false);
+  InterpretLoop(state, /*pooled_workspace=*/true, /*with_deadline=*/true);
 }
 BENCHMARK(InterpretWorkspacePooled);
 BENCHMARK(InterpretWorkspacePerRequest);
 BENCHMARK(InterpretDispatchChunked);
-BENCHMARK(InterpretEndToEnd);
-BENCHMARK(InterpretEndToEndPrePr);
 
 }  // namespace
 }  // namespace openapi::bench

@@ -28,6 +28,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "../tests/grid_plm.h"
 #include "api/fault_injecting_api.h"
 #include "bench_common.h"
 #include "linalg/qr.h"
@@ -319,72 +320,18 @@ BENCHMARK(RetryOverhead)
 //
 // Point location across MANY regions with DIVERSE predicted classes is
 // the workload the index's per-class forests target, so the endpoint here
-// is a grid model: [0,1]^2 x R^(d-2) split into k x k cells, each its own
-// locally linear region whose dominant class cycles through all C
-// classes. (A
-// randomly initialized PLNN is useless for this bench: its argmax is one
-// class over essentially the whole cube, collapsing every region into a
-// single forest.) The cache is warmed with one extraction per cell, then
+// is the serving tests' grid model (tests/grid_plm.h): [0,1]^2 x R^(d-2)
+// split into k x k cells, each its own locally linear region whose
+// dominant class cycles through all C classes. (A randomly initialized
+// PLNN is useless for this bench: its argmax is one class over
+// essentially the whole cube, collapsing every region into a single
+// forest.) The cache is warmed with one extraction per cell, then
 // the measured loop looks up never-seen-before points inside cached
 // cells: the point memo misses (fresh raw bits), the candidate scan runs,
 // and a cached model validates — the 2-query hit path whose lookup cost
 // the index bounds.
 
-class GridPlm : public api::Plm {
- public:
-  GridPlm(size_t d, size_t num_classes, size_t k, util::Rng* rng)
-      : d_(d), num_classes_(num_classes), k_(k) {
-    cells_.reserve(k * k);
-    for (size_t cell = 0; cell < k * k; ++cell) {
-      api::LocalLinearModel model;
-      model.weights = linalg::Matrix(d, num_classes);
-      for (size_t j = 0; j < d; ++j) {
-        for (size_t c = 0; c < num_classes; ++c) {
-          model.weights(j, c) = rng->Uniform(-0.5, 0.5);
-        }
-      }
-      model.bias = rng->UniformVector(num_classes, -0.5, 0.5);
-      // Cell's dominant class cycles through all C classes -> balanced
-      // per-class forests.
-      model.bias[cell % num_classes] += 4.0;
-      cells_.push_back(std::move(model));
-    }
-  }
-
-  size_t dim() const override { return d_; }
-  size_t num_classes() const override { return num_classes_; }
-  Vec Predict(const Vec& x) const override {
-    return api::EvaluateLocalModel(cells_[CellOf(x)], x);
-  }
-
-  /// Center of cell (i, j), region-interior by construction.
-  Vec CellCenter(size_t i, size_t j) const {
-    Vec x(d_, 0.5);
-    x[0] = (static_cast<double>(i) + 0.5) / static_cast<double>(k_);
-    x[1] = (static_cast<double>(j) + 0.5) / static_cast<double>(k_);
-    return x;
-  }
-
-  /// The cell's true local model — what ImportRegion warm-starts with.
-  const api::LocalLinearModel& CellModel(size_t i, size_t j) const {
-    return cells_[i * k_ + j];
-  }
-  double CellHalfEdge() const { return 0.5 / static_cast<double>(k_); }
-
- private:
-  size_t CellOf(const Vec& x) const {
-    auto axis = [this](double v) {
-      double scaled = v * static_cast<double>(k_);
-      if (scaled < 0.0) scaled = 0.0;
-      size_t idx = static_cast<size_t>(scaled);
-      return idx >= k_ ? k_ - 1 : idx;
-    };
-    return axis(x[0]) * k_ + axis(x[1]);
-  }
-
-  size_t d_, num_classes_, k_;
-  std::vector<api::LocalLinearModel> cells_;
-};
+using interpret::GridPlm;
 
 void CandidateScanIndexed(benchmark::State& state) {
   const size_t target_regions = static_cast<size_t>(state.range(0));

@@ -8,11 +8,13 @@
 #                               # configure, no build
 #   scripts/check.sh --asan     # ASan+UBSan build, full ctest
 #   scripts/check.sh --tsan     # TSan build, concurrent+fault tests
+#   scripts/check.sh --portable # -DOPENAPI_NATIVE_ARCH=OFF build, kernel
+#                               # parity + solver tests
 #
 # Each mode mirrors its CI job exactly (same OPENAPI_SANITIZE value, same
 # ctest selection), so a green local run predicts a green matrix leg.
-# Sanitizer builds use their own build directories and never disturb the
-# primary build/.
+# Sanitizer and portable builds use their own build directories and
+# never disturb the primary build/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,8 +52,20 @@ case "$mode" in
     # failures exercise the retry/quarantine paths where races hide.
     cd build-tsan && ctest -L 'concurrent|fault' --output-on-failure -j 2
     ;;
+  --portable)
+    # The SIMD kernels are the only implementation, so their bit-parity
+    # with the scalar test oracle must also hold on the portable build,
+    # where the vector lanes lower to baseline SSE2 instead of the build
+    # machine's widest ISA. The solver tests ride along because every
+    # extraction runs on those kernels.
+    cmake -B build-portable -S . -DOPENAPI_NATIVE_ARCH=OFF
+    cmake --build build-portable -j
+    cd build-portable && ctest \
+      -R 'linalg_simd|forward_parallel|interpret_openapi|interpret_saturation' \
+      --output-on-failure -j
+    ;;
   *)
-    echo "usage: $0 [--lint|--analyze|--asan|--tsan]" >&2
+    echo "usage: $0 [--lint|--analyze|--asan|--tsan|--portable]" >&2
     exit 2
     ;;
 esac

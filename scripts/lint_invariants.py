@@ -31,10 +31,11 @@ entry (so `ctest` and `scripts/check.sh --lint` can't drift from CI):
   fp-contract           src/linalg/ must not use std::fma / fmaf or
                         #pragma STDC FP_CONTRACT, and no build file may
                         enable -ffast-math / -funsafe-math-optimizations /
-                        -ffp-contract=fast|on. The kSimd and kReference
-                        kernel legs are BIT-IDENTICAL by contract; one
-                        fused multiply-add (one rounding instead of two)
-                        breaks the parity tests on some shapes only.
+                        -ffp-contract=fast|on. The SIMD kernels are
+                        BIT-IDENTICAL to the scalar test oracle by
+                        contract; one fused multiply-add (one rounding
+                        instead of two) breaks the parity tests on some
+                        shapes only.
                         The root CMakeLists must keep -ffp-contract=off.
   rng-discipline        rand() / srand() / std::random_device are banned
                         outside util/rng.*: all randomness flows through
@@ -221,8 +222,8 @@ def rule_fp_contract(files):
                 yield Violation(
                     f.rel, line_no, "fp-contract",
                     "fused multiply-add in linalg/ rounds once where the "
-                    "reference leg rounds twice, breaking the bit-parity "
-                    "contract between kSimd and kReference kernels")
+                    "scalar oracle rounds twice, breaking the bit-parity "
+                    "contract between the SIMD kernels and the oracle")
         if BUILD_FILE.search(f.rel) or f.rel.startswith("scripts/"):
             for line_no, _ in grep(f.raw_lines, FAST_MATH):
                 yield Violation(

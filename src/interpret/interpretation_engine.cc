@@ -74,13 +74,13 @@ std::vector<CoreParameters> PairsFromModel(const api::LocalLinearModel& model,
 /// A hit validated by the 2-query pair carries its probe; a plain
 /// point-memo hit (probe == nullptr) cost nothing.
 Interpretation CachedAnswer(const api::LocalLinearModel& model, size_t c,
-                            Vec* probe, double validation_edge) {
+                            Vec* probe) {
   Interpretation out;
   out.dc = api::GroundTruthDecisionFeatures(model, c);
   out.pairs = PairsFromModel(model, c);
   out.iterations = 0;
   if (probe != nullptr) {
-    out.edge_length = validation_edge;
+    out.edge_length = kValidationEdge;
     out.probes.push_back(std::move(*probe));
     out.queries = 2;
   }
@@ -621,8 +621,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
         region.hits.fetch_add(1, std::memory_order_relaxed);
         Bump(&EngineStats::point_memo_hits);
         *outcome = CacheOutcome::kPointMemo;
-        return CachedAnswer(region.model, c, /*probe=*/nullptr,
-                            config.validation_edge);
+        return CachedAnswer(region.model, c, /*probe=*/nullptr);
       }
     }
   }
@@ -638,7 +637,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
   OPENAPI_RETURN_NOT_OK(EnforceRequestOptions(
       options, cost->queries, 2, 2.0 * EffectiveRowLatency(*api_)));
   Vec probe =
-      SampleHypercube(x0, config.validation_edge, /*count=*/1, rng)[0];
+      SampleHypercube(x0, kValidationEdge, /*count=*/1, rng)[0];
   // The pair goes through the retry-aware dispatch path, so a transient
   // endpoint refusal is retried under the request's retry budget instead
   // of failing the request, and refused-attempt charges land in *cost —
@@ -669,8 +668,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
         RegionMatches(*drift_check_model, probe, y_probe)) {
       Bump(&EngineStats::point_memo_hits);
       *outcome = CacheOutcome::kPointMemo;
-      return CachedAnswer(*drift_check_model, c, &probe,
-                          config.validation_edge);
+      return CachedAnswer(*drift_check_model, c, &probe);
     }
     Bump(&EngineStats::drift_events);
     InvalidateStaleRegions();
@@ -721,7 +719,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
       PersistSpills(&spills);
       Bump(&EngineStats::cache_hits);
       *outcome = CacheOutcome::kMemoryHit;
-      return CachedAnswer(*model, c, &probe, config.validation_edge);
+      return CachedAnswer(*model, c, &probe);
     }
     // The slot vanished under us: treat the request as a miss below.
   }
@@ -739,7 +737,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
       PersistSpills(&spills);
       Bump(&EngineStats::disk_hits);
       *outcome = CacheOutcome::kDiskHit;
-      return CachedAnswer(reloaded, c, &probe, config.validation_edge);
+      return CachedAnswer(reloaded, c, &probe);
     }
     PersistSpills(&spills);
   }

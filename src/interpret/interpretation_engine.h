@@ -160,6 +160,13 @@ struct EngineRequest {
   RequestOptions options = {};
 };
 
+/// Edge length of the hypercube a session draws its validation probe
+/// from: the second point of the 2-query validation pair, and the
+/// edge_length a validated cache hit reports.
+inline constexpr double kValidationEdge = 1e-6;
+
+/// The settable engine knobs (the validation probe's edge is the constant
+/// kValidationEdge above, not a field).
 struct EngineConfig {
   /// Settings of the inner closed-form solver (Algorithm 1's iteration
   /// cap, initial edge, shrink factor, and consistency tolerance).
@@ -187,8 +194,6 @@ struct EngineConfig {
   /// Match tolerance when validating a cached region model against the
   /// API's output (infinity norm over probabilities).
   double match_tol = 1e-9;
-  /// Edge length of the hypercube the validation probe is drawn from.
-  double validation_edge = 1e-6;
   /// Relative quantization of the region fingerprint used for dedup.
   double fingerprint_resolution = 1e-6;
 };

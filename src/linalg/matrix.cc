@@ -67,9 +67,9 @@ Vec Matrix::Multiply(const Vec& x) const {
 void Matrix::Multiply(const Vec& x, Vec* out) const {
   OPENAPI_CHECK_EQ(x.size(), cols_);
   out->resize(rows_);
-  // Deliberately scalar under every policy: this single left-to-right dot
-  // is the accumulation order all batch kernels reproduce per element —
-  // the anchor of the batch/single parity contract.
+  // Deliberately scalar: this single left-to-right dot is the
+  // accumulation order all batch kernels reproduce per element — the
+  // anchor of the batch/single parity contract.
   for (size_t r = 0; r < rows_; ++r) {
     const double* row = RowPtr(r);
     double sum = 0.0;
@@ -81,17 +81,8 @@ void Matrix::Multiply(const Vec& x, Vec* out) const {
 Vec Matrix::MultiplyTransposed(const Vec& x) const {
   OPENAPI_CHECK_EQ(x.size(), rows_);
   Vec out(cols_, 0.0);
-  if (GetKernelPolicy() == KernelPolicy::kReference) {
-    for (size_t r = 0; r < rows_; ++r) {
-      const double* row = RowPtr(r);
-      double xr = x[r];
-      for (size_t c = 0; c < cols_; ++c) out[c] += row[c] * xr;
-    }
-    return out;
-  }
-  // SIMD: widen the output-column loop. Element c still accumulates
-  // row-by-row in r order, so each out[c] is bit-identical to the
-  // reference loop.
+  // Widen the output-column loop. Element c still accumulates row-by-row
+  // in r order, so each out[c] is bit-identical to the scalar loop.
   for (size_t r = 0; r < rows_; ++r) {
     const double* row = RowPtr(r);
     const simd::D8 xr8 = simd::D8::Broadcast(x[r]);
@@ -118,10 +109,9 @@ Matrix Matrix::Multiply(const Matrix& other) const {
   // streams contiguous rows of B and out, and the B tile (kBlock x kBlock
   // doubles = 32 KiB) stays L1/L2-resident while every row of the A tile
   // reuses it. For matrices smaller than one tile this degenerates to the
-  // plain i-k-j loop with identical accumulation order. Under kSimd the
-  // innermost j loop runs in vector lanes; out[i][j] still accumulates
-  // a_ik * b_kj in the same k order, so both policies are bit-identical.
-  const bool use_simd = GetKernelPolicy() == KernelPolicy::kSimd;
+  // plain i-k-j loop with identical accumulation order. The innermost j
+  // loop runs in vector lanes; out[i][j] still accumulates a_ik * b_kj in
+  // the same k order, bit-identical to the scalar i-k-j loop.
   constexpr size_t kBlock = 64;
   const size_t n = other.cols_;
   for (size_t ii = 0; ii < rows_; ii += kBlock) {
@@ -136,18 +126,16 @@ Matrix Matrix::Multiply(const Matrix& other) const {
           for (size_t k = kk; k < k_end; ++k) {
             const double a_ik = a_row[k];
             // Skipping exact zeros is profitable on the masked affine
-            // maps LocalModelAt composes; both policies must skip so the
-            // (pathological) 0 * inf case cannot diverge between them.
+            // maps LocalModelAt composes, and it is part of the kernel's
+            // contract: 0 * inf never turns an output into NaN.
             if (a_ik == 0.0) continue;
             const double* b_row = other.RowPtr(k);
+            const simd::D8 a8 = simd::D8::Broadcast(a_ik);
             size_t j = jj;
-            if (use_simd) {
-              const simd::D8 a8 = simd::D8::Broadcast(a_ik);
-              for (; j + 8 <= j_end; j += 8) {
-                simd::MulAdd(a8, simd::D8::Load(b_row + j),
-                             simd::D8::Load(out_row + j))
-                    .Store(out_row + j);
-              }
+            for (; j + 8 <= j_end; j += 8) {
+              simd::MulAdd(a8, simd::D8::Load(b_row + j),
+                           simd::D8::Load(out_row + j))
+                  .Store(out_row + j);
             }
             for (; j < j_end; ++j) {
               out_row[j] += a_ik * b_row[j];
@@ -162,61 +150,7 @@ Matrix Matrix::Multiply(const Matrix& other) const {
 
 namespace {
 
-/// Single left-to-right dot product — the scalar tail shared by both
-/// A·Bᵀ kernels; matches Matrix::Multiply(Vec) per element.
-inline double DotRows(const double* a, const double* b, size_t k) {
-  double sum = 0.0;
-  for (size_t t = 0; t < k; ++t) sum += a[t] * b[t];
-  return sum;
-}
-
-/// Reference A·Bᵀ: 2x2 register blocking, scalar accumulator chains.
-/// Four independent chains hide the FP-add latency that serializes a
-/// single dot product; every chain still sums strictly left to right, so
-/// each output stays bit-identical to Multiply(Vec) on the corresponding
-/// row (the batch/single parity contract).
-void MultiplyABtReference(const Matrix& lhs, const Matrix& rhs,
-                          Matrix* out) {
-  const size_t k = lhs.cols();
-  const size_t n = rhs.rows();
-  size_t i = 0;
-  for (; i + 2 <= lhs.rows(); i += 2) {
-    const double* a0 = lhs.RowPtr(i);
-    const double* a1 = lhs.RowPtr(i + 1);
-    double* o0 = out->RowPtr(i);
-    double* o1 = out->RowPtr(i + 1);
-    size_t j = 0;
-    for (; j + 2 <= n; j += 2) {
-      const double* b0 = rhs.RowPtr(j);
-      const double* b1 = rhs.RowPtr(j + 1);
-      double s00 = 0.0, s01 = 0.0, s10 = 0.0, s11 = 0.0;
-      for (size_t t = 0; t < k; ++t) {
-        const double a0t = a0[t], a1t = a1[t];
-        const double b0t = b0[t], b1t = b1[t];
-        s00 += a0t * b0t;
-        s01 += a0t * b1t;
-        s10 += a1t * b0t;
-        s11 += a1t * b1t;
-      }
-      o0[j] = s00;
-      o0[j + 1] = s01;
-      o1[j] = s10;
-      o1[j + 1] = s11;
-    }
-    for (; j < n; ++j) {
-      const double* b = rhs.RowPtr(j);
-      o0[j] = DotRows(a0, b, k);
-      o1[j] = DotRows(a1, b, k);
-    }
-  }
-  for (; i < lhs.rows(); ++i) {
-    const double* a = lhs.RowPtr(i);
-    double* o = out->RowPtr(i);
-    for (size_t j = 0; j < n; ++j) o[j] = DotRows(a, rhs.RowPtr(j), k);
-  }
-}
-
-/// SIMD A·Bᵀ. The j (output-column = B-row) loop widens into 8 lanes; to
+/// A·Bᵀ. The j (output-column = B-row) loop widens into 8 lanes; to
 /// feed it with one vector load per step instead of an 8-element gather,
 /// B is first PACKED into 8-row column panels (the BLIS/GotoBLAS trick):
 /// panel p stores B rows [8p, 8p+8) column-major, so offset 8t holds the
@@ -224,9 +158,11 @@ void MultiplyABtReference(const Matrix& lhs, const Matrix& rhs,
 /// is reused by every row of A. The i loop blocks by 4, so each t feeds
 /// four broadcast-multiply-add chains — 32 outputs in flight. Every lane
 /// is its own accumulator advancing in t order, bit-identical to the
-/// scalar dot of the corresponding (i, j). The final panel is padded
-/// with zero rows; its pad lanes are computed and discarded.
-void MultiplyABtSimd(const Matrix& lhs, const Matrix& rhs, Matrix* out) {
+/// scalar dot of the corresponding (i, j), so each output row equals
+/// Multiply(Vec) on that row (the batch/single parity contract). The
+/// final panel is padded with zero rows; its pad lanes are computed and
+/// discarded.
+void MultiplyABtPanels(const Matrix& lhs, const Matrix& rhs, Matrix* out) {
   constexpr size_t kPanel = simd::D8::kWidth;
   const size_t k = lhs.cols();
   const size_t n = rhs.rows();
@@ -297,23 +233,12 @@ void MultiplyABtSimd(const Matrix& lhs, const Matrix& rhs, Matrix* out) {
 Matrix Matrix::MultiplyABt(const Matrix& other) const {
   OPENAPI_CHECK_EQ(cols_, other.cols_);
   Matrix out(rows_, other.rows_);
-  if (GetKernelPolicy() == KernelPolicy::kReference) {
-    MultiplyABtReference(*this, other, &out);
-  } else {
-    MultiplyABtSimd(*this, other, &out);
-  }
+  MultiplyABtPanels(*this, other, &out);
   return out;
 }
 
 void Matrix::AddRowInPlace(const Vec& row) {
   OPENAPI_CHECK_EQ(row.size(), cols_);
-  if (GetKernelPolicy() == KernelPolicy::kReference) {
-    for (size_t r = 0; r < rows_; ++r) {
-      double* out_row = RowPtr(r);
-      for (size_t c = 0; c < cols_; ++c) out_row[c] += row[c];
-    }
-    return;
-  }
   for (size_t r = 0; r < rows_; ++r) {
     double* out_row = RowPtr(r);
     size_t c = 0;

@@ -7,14 +7,12 @@
 // the solvers and models need. Factorizations live in lu.h / qr.h /
 // cholesky.h.
 //
-// The product kernels come in two implementations selected by a
-// process-wide KernelPolicy: kSimd (the default) widens the innermost
-// output-column loop into vector lanes, kReference is the plain scalar
-// loop. Both accumulate every output element over the contraction index
-// in the same left-to-right order, so the two policies are BIT-IDENTICAL
-// on every input — kReference exists so tests can diff the SIMD kernels
-// element-for-element, and as the fallback reading for the parity
-// contract comments below. Storage is 64-byte aligned (aligned_alloc.h)
+// The product kernels widen their innermost output-column loop into
+// vector lanes (simd.h) but accumulate every output element over the
+// contraction index in the same left-to-right order as a plain scalar
+// loop, so each result is BIT-IDENTICAL to that loop on every input.
+// linalg_simd_test checks this against the scalar oracle in
+// tests/reference_kernels.h. Storage is 64-byte aligned (aligned_alloc.h)
 // so vector loads on row 0 and on power-of-two row lengths are aligned.
 
 #ifndef OPENAPI_LINALG_MATRIX_H_
@@ -103,9 +101,10 @@ class Matrix {
   /// A * B^T with B given row-major: this (m x k) * other^T (k x n) for
   /// other (n x k). Every output entry is a dot product of two contiguous
   /// rows, making this the cache-friendly kernel for batched layer
-  /// forwards Z = X W^T (X rows = samples, W rows = output units). The
-  /// inner dot accumulates left to right in a single scalar, bit-matching
-  /// Multiply(const Vec&) on each row — the batch/single parity contract.
+  /// forwards Z = X W^T (X rows = samples, W rows = output units). Each
+  /// output's dot accumulates left to right in its own vector lane,
+  /// bit-matching Multiply(const Vec&) on each row — the batch/single
+  /// parity contract.
   Matrix MultiplyABt(const Matrix& other) const;
 
   /// Adds `row` to every row in place (bias broadcast; row.size() == cols).

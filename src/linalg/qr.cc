@@ -12,22 +12,12 @@ namespace {
 /// qr, with v = (1, qr(k+1..m-1, k)). The j (column) loop widens into
 /// vector lanes: each column's dot product still accumulates over rows in
 /// i order and each element's update is the same mul-then-subtract, so
-/// the result is bit-identical to the scalar loop under kReference. This
-/// is the O(m n) inner heart of the factorization — the solver spends a
+/// the result is bit-identical to the plain scalar column loop. This is
+/// the O(m n) inner heart of the factorization — the solver spends a
 /// third of a shrink iteration here at paper-scale d.
 void ApplyReflection(Matrix& qr, size_t k, double tau_k) {
   const size_t m = qr.rows();
   const size_t n = qr.cols();
-  if (GetKernelPolicy() == KernelPolicy::kReference) {
-    for (size_t j = k + 1; j < n; ++j) {
-      double dot = qr(k, j);  // v[0] = 1
-      for (size_t i = k + 1; i < m; ++i) dot += qr(i, k) * qr(i, j);
-      double scale = tau_k * dot;
-      qr(k, j) -= scale;
-      for (size_t i = k + 1; i < m; ++i) qr(i, j) -= scale * qr(i, k);
-    }
-    return;
-  }
   const simd::D8 tau8 = simd::D8::Broadcast(tau_k);
   size_t j = k + 1;
   for (; j + 8 <= n; j += 8) {
@@ -45,7 +35,7 @@ void ApplyReflection(Matrix& qr, size_t k, double tau_k) {
     }
   }
   for (; j < n; ++j) {
-    double dot = qr(k, j);
+    double dot = qr(k, j);  // v[0] = 1
     for (size_t i = k + 1; i < m; ++i) dot += qr(i, k) * qr(i, j);
     double scale = tau_k * dot;
     qr(k, j) -= scale;
@@ -106,8 +96,8 @@ Status QrDecomposition::Refactor(const Matrix& a) {
     tau[k] *= v0 * v0;
     qr(k, k) = alpha;
 
-    // Apply (I - tau v v^T) to the trailing columns (SIMD across j under
-    // kSimd; bit-identical either way).
+    // Apply (I - tau v v^T) to the trailing columns (vector lanes across
+    // j, bit-identical to the scalar column loop).
     ApplyReflection(qr, k, tau[k]);
   }
 

@@ -1,26 +1,12 @@
 #include "linalg/vector_ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "linalg/simd.h"
 #include "util/check.h"
 
 namespace openapi::linalg {
-namespace {
-
-std::atomic<KernelPolicy> g_kernel_policy{KernelPolicy::kSimd};
-
-}  // namespace
-
-KernelPolicy GetKernelPolicy() {
-  return g_kernel_policy.load(std::memory_order_relaxed);
-}
-
-void SetKernelPolicy(KernelPolicy policy) {
-  g_kernel_policy.store(policy, std::memory_order_relaxed);
-}
 
 double Dot(const Vec& a, const Vec& b) {
   OPENAPI_CHECK_EQ(a.size(), b.size());
@@ -124,20 +110,16 @@ Vec Softmax(const Vec& logits) {
 
 void SoftmaxInto(const double* logits, size_t n, double* out) {
   OPENAPI_CHECK_GT(n, 0u);
-  // Max scan and exp-sum stay scalar under every policy: the sum is a
-  // reduction whose order fixes the result, and exp is a libm call. Only
-  // the element-wise normalization widens — division is per-element, so
-  // both policies are bit-identical.
+  // Max scan and exp-sum stay scalar: the sum is a reduction whose order
+  // fixes the result, and exp is a libm call. Only the element-wise
+  // normalization widens — division is per-element, so the lanes are
+  // bit-identical to a scalar divide loop.
   double max_logit = logits[0];
   for (size_t i = 1; i < n; ++i) max_logit = std::max(max_logit, logits[i]);
   double sum = 0.0;
   for (size_t i = 0; i < n; ++i) {
     out[i] = std::exp(logits[i] - max_logit);
     sum += out[i];
-  }
-  if (GetKernelPolicy() == KernelPolicy::kReference) {
-    for (size_t i = 0; i < n; ++i) out[i] /= sum;
-    return;
   }
   const simd::D4 sum4 = simd::D4::Broadcast(sum);
   size_t i = 0;

@@ -42,26 +42,14 @@ void RegionDirectory::Reserve(size_t entries) {
   by_fingerprint_.reserve(entries);
 }
 
-bool RegionDirectory::Lookup(uint64_t fingerprint, uint64_t* offset) const {
-  auto it = by_fingerprint_.find(fingerprint);
-  if (it == by_fingerprint_.end()) return false;
-  *offset = entries_[it->second].offset;
-  return true;
-}
-
-bool RegionDirectory::GetEpoch(uint64_t fingerprint, uint32_t* epoch) const {
-  auto it = by_fingerprint_.find(fingerprint);
-  if (it == by_fingerprint_.end()) return false;
-  *epoch = entries_[it->second].epoch;
-  return true;
-}
-
-bool RegionDirectory::GetBox(uint64_t fingerprint, Vec* lo, Vec* hi) const {
+bool RegionDirectory::Find(uint64_t fingerprint, Vec* lo, Vec* hi,
+                           uint32_t* epoch) const {
   auto it = by_fingerprint_.find(fingerprint);
   if (it == by_fingerprint_.end()) return false;
   const double* box_lo = boxes_.data() + it->second * 2 * dim_;
   lo->assign(box_lo, box_lo + dim_);
   hi->assign(box_lo + dim_, box_lo + 2 * dim_);
+  *epoch = entries_[it->second].epoch;
   return true;
 }
 

@@ -55,14 +55,9 @@ class RegionDirectory {
     return by_fingerprint_.count(fingerprint) > 0;
   }
 
-  /// Latest log offset of `fingerprint`; false when absent.
-  bool Lookup(uint64_t fingerprint, uint64_t* offset) const;
-
-  /// Copies `fingerprint`'s box into *lo / *hi; false when absent.
-  bool GetBox(uint64_t fingerprint, Vec* lo, Vec* hi) const;
-
-  /// Drift epoch of `fingerprint`'s entry; false when absent.
-  bool GetEpoch(uint64_t fingerprint, uint32_t* epoch) const;
+  /// Copies `fingerprint`'s box into *lo / *hi and its drift epoch into
+  /// *epoch; false when absent.
+  bool Find(uint64_t fingerprint, Vec* lo, Vec* hi, uint32_t* epoch) const;
 
   /// Appends the log offsets of every entry whose box contains x AND
   /// whose epoch is at least `min_epoch` (stale-epoch regions describe a

@@ -41,16 +41,17 @@ Result<bool> RegionStore::Put(const RegionRecord& record) {
   RegionRecord stamped = record;
   stamped.epoch = std::max(record.epoch, epoch_);
   Vec stored_lo, stored_hi;
-  if (directory_.GetBox(record.fingerprint, &stored_lo, &stored_hi)) {
+  uint32_t stored_epoch = 0;
+  if (directory_.Find(record.fingerprint, &stored_lo, &stored_hi,
+                      &stored_epoch)) {
     bool grew = false;
     for (size_t j = 0; j < dim_; ++j) {
-      if (record.lo[j] < stored_lo[j] || record.hi[j] > stored_hi[j]) {
-        grew = true;
-        break;
-      }
+      grew = grew || record.lo[j] < stored_lo[j] || record.hi[j] > stored_hi[j];
+      // Re-append with the UNION box so a post-restart directory (built
+      // from records alone) sees everything this process learned.
+      stamped.lo[j] = std::min(record.lo[j], stored_lo[j]);
+      stamped.hi[j] = std::max(record.hi[j], stored_hi[j]);
     }
-    uint32_t stored_epoch = 0;
-    directory_.GetEpoch(record.fingerprint, &stored_epoch);
     // A stored entry at a stale drift epoch must be re-appended even when
     // its box already covers this one — otherwise a region re-extracted
     // (and therefore revalidated) after a drift bump would stay filtered
@@ -58,17 +59,6 @@ Result<bool> RegionStore::Put(const RegionRecord& record) {
     if (!grew && stored_epoch >= stamped.epoch) {
       return false;  // already persisted with a covering box, same epoch
     }
-    // Re-append with the UNION box so a post-restart directory (built
-    // from records alone) sees everything this process learned.
-    for (size_t j = 0; j < dim_; ++j) {
-      stamped.lo[j] = std::min(record.lo[j], stored_lo[j]);
-      stamped.hi[j] = std::max(record.hi[j], stored_hi[j]);
-    }
-    OPENAPI_ASSIGN_OR_RETURN(uint64_t offset, log_->Append(stamped));
-    directory_.Put(stamped.fingerprint, offset, stamped.argmax, stamped.lo,
-                   stamped.hi, stamped.epoch);
-    ++appended_records_;
-    return true;
   }
   OPENAPI_ASSIGN_OR_RETURN(uint64_t offset, log_->Append(stamped));
   directory_.Put(stamped.fingerprint, offset, stamped.argmax, stamped.lo,

@@ -144,7 +144,7 @@ void RunTapeAgainstOracle(const api::Plm& model,
       continue;
     }
     ++steps;
-    const Vec probe = SampleHypercube(step.x0, config.validation_edge,
+    const Vec probe = SampleHypercube(step.x0, kValidationEdge,
                                       /*count=*/1, &probe_rng)[0];
     const Vec y0 = oracle_api.Predict(step.x0);
     const Vec y_probe = oracle_api.Predict(probe);

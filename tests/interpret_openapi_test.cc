@@ -49,32 +49,6 @@ TEST_F(OpenApiPlnnTest, RecoversExactDecisionFeatures) {
   }
 }
 
-TEST_F(OpenApiPlnnTest, SimdAndReferenceKernelsGiveBitIdenticalResults) {
-  // The whole solve — probe forwards, shared QR, consistency residuals —
-  // runs on linalg kernels whose kSimd and kReference implementations
-  // are bit-identical by contract; a full interpretation must therefore
-  // be EXACTLY equal under both policies, probes included.
-  OpenApiInterpreter interpreter;
-  util::Rng rng_reference(400);
-  util::Rng rng_simd(400);
-  Vec x0 = rng_.UniformVector(6, 0.1, 0.9);
-  linalg::SetKernelPolicy(linalg::KernelPolicy::kReference);
-  auto reference = interpreter.Interpret(api_, x0, 1, &rng_reference);
-  linalg::SetKernelPolicy(linalg::KernelPolicy::kSimd);
-  auto vectorized = interpreter.Interpret(api_, x0, 1, &rng_simd);
-  ASSERT_TRUE(reference.ok());
-  ASSERT_TRUE(vectorized.ok());
-  EXPECT_EQ(vectorized->dc, reference->dc);
-  EXPECT_EQ(vectorized->probes, reference->probes);
-  EXPECT_EQ(vectorized->iterations, reference->iterations);
-  EXPECT_EQ(vectorized->queries, reference->queries);
-  ASSERT_EQ(vectorized->pairs.size(), reference->pairs.size());
-  for (size_t i = 0; i < reference->pairs.size(); ++i) {
-    EXPECT_EQ(vectorized->pairs[i].d, reference->pairs[i].d);
-    EXPECT_EQ(vectorized->pairs[i].b, reference->pairs[i].b);
-  }
-}
-
 TEST_F(OpenApiPlnnTest, WorkspaceReuseDoesNotChangeResults) {
   // The workspace only changes WHERE the solver's scratch lives: an
   // externally supplied workspace serving several requests in a row must

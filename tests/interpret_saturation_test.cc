@@ -144,13 +144,12 @@ TEST(SaturationRegressionTest, QueryAccountingStaysExactUnderSaturation) {
   EXPECT_LT(cost.queries, 1 + result->iterations * 8);
 }
 
-TEST(SaturationRegressionTest, SaturatedSolveIsBitIdenticalAcrossPolicies) {
+TEST(SaturationRegressionTest, SaturatedSolveIsBitIdenticalAcrossWorkspaces) {
   // The masked-row path (per-pair QR over the usable rows + adaptive
-  // top-ups) must be exactly equal under kSimd and kReference, and with
-  // a request-local workspace or a caller workspace whose buffers an
-  // earlier request of a different shape already grew — the saturated
-  // branch exercises the Resize/Refactor reuse cycle the fast path never
-  // touches.
+  // top-ups) must be exactly equal with a request-local workspace or a
+  // caller workspace whose buffers an earlier request of a different
+  // shape already grew — the saturated branch exercises the
+  // Resize/Refactor reuse cycle the fast path never touches.
   LinearPlm plm(SaturatingModel());
   api::PredictionApi api(&plm);
   OpenApiInterpreter interpreter;
@@ -176,25 +175,15 @@ TEST(SaturationRegressionTest, SaturatedSolveIsBitIdenticalAcrossPolicies) {
                                       &used_workspace)
                     .ok());
   }
-  struct Leg {
-    linalg::KernelPolicy policy;
-    SolverWorkspace* workspace;  // nullptr: request-local
-  };
-  const Leg legs[] = {
-      {linalg::KernelPolicy::kReference, nullptr},
-      {linalg::KernelPolicy::kSimd, nullptr},
-      {linalg::KernelPolicy::kSimd, &used_workspace},
-  };
+  // nullptr: request-local.
+  SolverWorkspace* const workspaces[] = {nullptr, &used_workspace};
   std::optional<Interpretation> baseline;
   uint64_t baseline_consumed = 0;
-  for (const Leg& leg : legs) {
-    linalg::SetKernelPolicy(leg.policy);
+  for (SolverWorkspace* workspace : workspaces) {
     util::Rng rng(77);
     RequestCost cost;
     auto result = interpreter.InterpretCounted(
-        api, SaturatedAnchor(), 0, &rng, &cost, {}, nullptr,
-        leg.workspace);
-    linalg::SetKernelPolicy(linalg::KernelPolicy::kSimd);
+        api, SaturatedAnchor(), 0, &rng, &cost, {}, nullptr, workspace);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     if (!baseline.has_value()) {
       baseline = std::move(*result);

@@ -1,12 +1,13 @@
-// Bit-exactness of the SIMD kernels against the scalar reference.
+// Bit-exactness of the SIMD kernels against the scalar oracle.
 //
-// The KernelPolicy contract says kSimd and kReference produce IDENTICAL
-// doubles on every input: the SIMD kernels widen only the output-column
-// loop, so each output element accumulates over the contraction index in
-// the scalar order. These tests diff the two policies element-for-element
-// (exact ==, no tolerance) across odd shapes, tail columns, and
-// unaligned row starts — the cases where a lane kernel's main loop, tail
-// loop, and alignment handling can silently diverge.
+// The vectorized kernels widen only the output-column loop, so each
+// output element accumulates over the contraction index in the order of
+// the plain scalar loops in reference_kernels.h, and the doubles must be
+// IDENTICAL on every input. These tests diff library output against the
+// oracle element-for-element (bit patterns, no tolerance) across odd
+// shapes, tail columns, and unaligned row starts — the cases where a
+// lane kernel's main loop, tail loop, and alignment handling can
+// silently diverge.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "linalg/matrix.h"
 #include "linalg/qr.h"
 #include "linalg/vector_ops.h"
+#include "reference_kernels.h"
 #include "util/rng.h"
 
 namespace openapi::linalg {
@@ -33,31 +35,20 @@ Vec RandomVec(size_t n, util::Rng* rng) {
   return rng->UniformVector(n, -2.0, 2.0);
 }
 
-/// Restores the default policy even when an assertion bails out early.
-class PolicyGuard {
- public:
-  ~PolicyGuard() { SetKernelPolicy(KernelPolicy::kSimd); }
-};
-
-/// Runs `fn` under both policies and requires bitwise-equal results.
-template <typename Fn>
-void ExpectPolicyParity(Fn fn, const char* label) {
-  PolicyGuard guard;
-  SetKernelPolicy(KernelPolicy::kReference);
-  const auto reference = fn();
-  SetKernelPolicy(KernelPolicy::kSimd);
-  const auto vectorized = fn();
-  ASSERT_EQ(reference.size(), vectorized.size()) << label;
-  for (size_t i = 0; i < reference.size(); ++i) {
-    // Exact comparison through bit patterns: NaN-safe and catches the
-    // -0.0 vs +0.0 slips a value comparison would miss.
-    int64_t ref_bits, simd_bits;
+/// Requires bitwise-equal results: NaN-safe, and catches the -0.0 vs
+/// +0.0 slips a value comparison would miss.
+template <typename Expected, typename Actual>
+void ExpectBitIdentical(const Expected& expected, const Actual& actual,
+                        const char* label) {
+  ASSERT_EQ(expected.size(), actual.size()) << label;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    int64_t expected_bits, actual_bits;
     static_assert(sizeof(double) == sizeof(int64_t));
-    std::memcpy(&ref_bits, &reference[i], sizeof(double));
-    std::memcpy(&simd_bits, &vectorized[i], sizeof(double));
-    ASSERT_EQ(ref_bits, simd_bits)
-        << label << " diverges at flat index " << i << ": "
-        << reference[i] << " vs " << vectorized[i];
+    std::memcpy(&expected_bits, &expected[i], sizeof(double));
+    std::memcpy(&actual_bits, &actual[i], sizeof(double));
+    ASSERT_EQ(expected_bits, actual_bits)
+        << label << " diverges at flat index " << i << ": " << expected[i]
+        << " vs " << actual[i];
   }
 }
 
@@ -79,7 +70,8 @@ TEST(SimdParityTest, MultiplyMatrixMatchesReference) {
   for (const Shape& s : kShapes) {
     Matrix a = RandomMatrix(s.m, s.k, &rng);
     Matrix b = RandomMatrix(s.k, s.n, &rng);
-    ExpectPolicyParity([&] { return a.Multiply(b).data(); }, "Multiply");
+    ExpectBitIdentical(reference::Multiply(a, b).data(), a.Multiply(b).data(),
+                       "Multiply");
   }
 }
 
@@ -88,8 +80,8 @@ TEST(SimdParityTest, MultiplyABtMatchesReference) {
   for (const Shape& s : kShapes) {
     Matrix a = RandomMatrix(s.m, s.k, &rng);
     Matrix b = RandomMatrix(s.n, s.k, &rng);
-    ExpectPolicyParity([&] { return a.MultiplyABt(b).data(); },
-                       "MultiplyABt");
+    ExpectBitIdentical(reference::MultiplyABt(a, b).data(),
+                       a.MultiplyABt(b).data(), "MultiplyABt");
   }
 }
 
@@ -116,8 +108,8 @@ TEST(SimdParityTest, MultiplyTransposedMatchesReference) {
   for (const Shape& s : kShapes) {
     Matrix a = RandomMatrix(s.m, s.k, &rng);
     Vec x = RandomVec(s.m, &rng);
-    ExpectPolicyParity([&] { return a.MultiplyTransposed(x); },
-                       "MultiplyTransposed");
+    ExpectBitIdentical(reference::MultiplyTransposed(a, x),
+                       a.MultiplyTransposed(x), "MultiplyTransposed");
   }
 }
 
@@ -126,13 +118,11 @@ TEST(SimdParityTest, AddRowInPlaceMatchesReference) {
   for (const Shape& s : kShapes) {
     Matrix base = RandomMatrix(s.m, s.n, &rng);
     Vec row = RandomVec(s.n, &rng);
-    ExpectPolicyParity(
-        [&] {
-          Matrix m = base;
-          m.AddRowInPlace(row);
-          return m.data();
-        },
-        "AddRowInPlace");
+    Matrix expected = base;
+    reference::AddRowInPlace(row, &expected);
+    Matrix actual = base;
+    actual.AddRowInPlace(row);
+    ExpectBitIdentical(expected.data(), actual.data(), "AddRowInPlace");
   }
 }
 
@@ -140,7 +130,8 @@ TEST(SimdParityTest, SoftmaxMatchesReference) {
   util::Rng rng(106);
   for (size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 100u}) {
     Vec logits = RandomVec(n, &rng);
-    ExpectPolicyParity([&] { return Softmax(logits); }, "Softmax");
+    ExpectBitIdentical(reference::Softmax(logits), Softmax(logits),
+                       "Softmax");
   }
 }
 
@@ -148,64 +139,58 @@ TEST(SimdParityTest, SoftmaxIntoMatchesSoftmax) {
   util::Rng rng(107);
   for (size_t n : {1u, 3u, 8u, 13u}) {
     Vec logits = RandomVec(n, &rng);
-    Vec expected = Softmax(logits);
     Vec out(n, -1.0);
     SoftmaxInto(logits.data(), n, out.data());
-    for (size_t i = 0; i < n; ++i) ASSERT_EQ(expected[i], out[i]);
+    ExpectBitIdentical(reference::Softmax(logits), out, "SoftmaxInto");
   }
 }
 
 TEST(SimdParityTest, ZeroEntriesSkipIdentically) {
-  // The blocked GEMM skips exact-zero a_ik under both policies; a SIMD
-  // path that multiplied through instead would turn 0 * inf into NaN.
+  // The blocked GEMM skips exact-zero a_ik like the oracle; a SIMD path
+  // that multiplied through instead would turn 0 * inf into NaN.
   Matrix a{{0.0, 1.0}, {2.0, 0.0}};
   Matrix b(2, 9);
   for (double& x : b.mutable_data()) x = 3.0;
   b(0, 0) = std::numeric_limits<double>::infinity();
-  ExpectPolicyParity([&] { return a.Multiply(b).data(); },
+  ExpectBitIdentical(reference::Multiply(a, b).data(), a.Multiply(b).data(),
                      "Multiply with zero-row skip");
 }
 
 TEST(SimdParityTest, UnalignedViewsThroughOddLeadingRows) {
   // Row r of a (rows x 5) matrix starts at offset 5r doubles: rows 1..7
-  // cover every misalignment of a 64-byte line. Both kernels must agree
-  // on each row regardless of where it starts.
+  // cover every misalignment of a 64-byte line. The kernel must match the
+  // oracle on each row regardless of where it starts.
   util::Rng rng(108);
   Matrix a = RandomMatrix(8, 5, &rng);
   Matrix b = RandomMatrix(9, 5, &rng);
-  ExpectPolicyParity([&] { return a.MultiplyABt(b).data(); },
-                     "MultiplyABt odd-stride rows");
+  ExpectBitIdentical(reference::MultiplyABt(a, b).data(),
+                     a.MultiplyABt(b).data(), "MultiplyABt odd-stride rows");
 }
 
 TEST(SimdParityTest, QrFactorAndSolveMatchReference) {
-  // The Householder trailing-column update widens over j under kSimd;
-  // factorization and least-squares solutions must be bit-identical,
-  // including the residual diagnostics the consistency test reads.
+  // The Householder trailing-column update widens over j; factorization
+  // and least-squares solutions must be bit-identical to the scalar
+  // oracle, including the residual diagnostics the consistency test
+  // reads. Both factorizations must succeed: a kernel change that broke
+  // factoring must not pass as two equal failures.
   util::Rng rng(109);
   for (const Shape& s : kShapes) {
     if (s.m < s.k) continue;  // QR needs rows >= cols
     Matrix a = RandomMatrix(s.m, s.k, &rng);
     Vec b = RandomVec(s.m, &rng);
-    ExpectPolicyParity(
-        [&] {
-          auto qr = QrDecomposition::Factor(a);
-          if (!qr.ok()) return Vec{};
-          LeastSquaresSolution solution = qr->Solve(b);
-          Vec out = solution.x;
-          out.push_back(solution.residual_norm2);
-          out.push_back(solution.residual_norminf);
-          return out;
-        },
-        "QrFactor+Solve");
+    auto qr = QrDecomposition::Factor(a);
+    ASSERT_TRUE(qr.ok()) << qr.status().ToString();
+    reference::Qr oracle;
+    ASSERT_TRUE(oracle.Factor(a)) << s.m << "x" << s.k;
+    LeastSquaresSolution solution = qr->Solve(b);
+    Vec x;
+    double norm2 = 0.0, norminf = 0.0;
+    oracle.Solve(b, &x, &norm2, &norminf);
+    ExpectBitIdentical(x, solution.x, "QR solution");
+    ExpectBitIdentical(Vec{norm2, norminf},
+                       Vec{solution.residual_norm2, solution.residual_norminf},
+                       "QR residual norms");
   }
-}
-
-TEST(KernelPolicyTest, DefaultIsSimdAndRoundTrips) {
-  EXPECT_EQ(GetKernelPolicy(), KernelPolicy::kSimd);
-  SetKernelPolicy(KernelPolicy::kReference);
-  EXPECT_EQ(GetKernelPolicy(), KernelPolicy::kReference);
-  SetKernelPolicy(KernelPolicy::kSimd);
-  EXPECT_EQ(GetKernelPolicy(), KernelPolicy::kSimd);
 }
 
 TEST(AlignedStorageTest, MatrixBufferIsCacheLineAligned) {
