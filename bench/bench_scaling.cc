@@ -2,7 +2,9 @@
 // runs in O(T * C * (d+2)^3) with small T; this solver factors one
 // (d+2)x(d+1) matrix per request and solves every shrink iteration
 // against it, O((d+2)^3 + T * C * (d+2)^2) outside the probe forwards:
-//   * OpenApiVsDim    — sweep input dimensionality d at fixed C,
+//   * OpenApiVsDim    — sweep input dimensionality d at fixed C, with
+//                       avg_shrink_iters (edges visited) and avg_queries
+//                       (queries per extraction) counters,
 //   * OpenApiVsClasses — sweep class count C at fixed d,
 //   * QrFactorVsDim   — the inner (d+2)x(d+1) factorization alone,
 //   * NaiveVsDim      — the determined-system baseline for comparison.
@@ -71,15 +73,23 @@ void OpenApiVsDim(benchmark::State& state) {
   interpret::OpenApiInterpreter interpreter;
   util::Rng rng(1);
   size_t total_iterations = 0;
+  uint64_t total_queries = 0;
   for (auto _ : state) {
     Vec x0 = rng.UniformVector(d, 0.05, 0.95);
-    auto result = interpreter.Interpret(*Cache().api, x0, 0, &rng);
+    interpret::RequestCost cost;
+    auto result =
+        interpreter.InterpretCounted(*Cache().api, x0, 0, &rng, &cost);
     if (result.ok()) total_iterations += result->iterations;
+    total_queries += cost.queries;
     benchmark::DoNotOptimize(result);
   }
   state.counters["avg_shrink_iters"] = benchmark::Counter(
       static_cast<double>(total_iterations),
       benchmark::Counter::kAvgIterations);
+  // Queries per extraction, the paper's cost metric: the ray screen
+  // sends a round's d+1-2 unscreened rows only at edges it cannot reject.
+  state.counters["avg_queries"] = benchmark::Counter(
+      static_cast<double>(total_queries), benchmark::Counter::kAvgIterations);
   state.SetComplexityN(static_cast<int64_t>(d));
 }
 BENCHMARK(OpenApiVsDim)

@@ -57,11 +57,13 @@ case "$mode" in
     # with the scalar test oracle must also hold on the portable build,
     # where the vector lanes lower to baseline SSE2 instead of the build
     # machine's widest ISA. The solver tests ride along because every
-    # extraction runs on those kernels.
+    # extraction runs on those kernels, and so does the ray screen's
+    # parity with the unscreened loop, which compares extractions bit for
+    # bit.
     cmake -B build-portable -S . -DOPENAPI_NATIVE_ARCH=OFF
     cmake --build build-portable -j
     cd build-portable && ctest \
-      -R 'linalg_simd|forward_parallel|interpret_openapi|interpret_saturation' \
+      -R 'linalg_simd|forward_parallel|interpret_openapi|interpret_saturation|interpret_screen_parity' \
       --output-on-failure -j
     ;;
   *)

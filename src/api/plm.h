@@ -84,6 +84,14 @@ void ParallelForwardRowBlocks(
 /// cache (extract::PredictWithLocalModel delegates here).
 Vec EvaluateLocalModel(const LocalLinearModel& model, const Vec& x);
 
+/// EvaluateLocalModel written into *out, with *logits as scratch (both
+/// resized to the class count; neither may alias x or the other): no
+/// allocation once their capacity suffices. EvaluateLocalModel wraps
+/// this, so both give the same bits — the region cache validates many
+/// candidates per lookup with one pair of buffers.
+void EvaluateLocalModelInto(const LocalLinearModel& model, const Vec& x,
+                            Vec* logits, Vec* out);
+
 /// Privileged white-box view of a Plm (evaluation only; see file comment).
 class PlmOracle {
  public:

@@ -36,7 +36,8 @@ struct Interpretation {
   /// gradient methods.
   std::vector<Vec> probes;
 
-  /// Number of hypercube-shrinking iterations (OpenAPI; 1 otherwise).
+  /// Number of hypercube-shrinking iterations (OpenAPI: edges visited,
+  /// screened or sent; 1 otherwise).
   size_t iterations = 1;
 
   /// Final hypercube edge length / perturbation distance used.

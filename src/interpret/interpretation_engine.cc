@@ -237,8 +237,11 @@ EndpointSession::PointKey EndpointSession::PointKeyOf(const Vec& x0) {
 }
 
 bool EndpointSession::RegionMatches(const api::LocalLinearModel& model,
-                                    const Vec& x, const Vec& y) const {
-  Vec predicted = api::EvaluateLocalModel(model, x);
+                                    const Vec& x, const Vec& y,
+                                    MatchScratch* scratch) const {
+  api::EvaluateLocalModelInto(model, x, &scratch->logits,
+                              &scratch->predicted);
+  const Vec& predicted = scratch->predicted;
   const double tol = engine_->config().match_tol;
   for (size_t k = 0; k < y.size(); ++k) {
     // Negated so a NaN difference fails too.
@@ -266,11 +269,12 @@ size_t EndpointSession::FindMatchingRegion(const Vec& x0, const Vec& y0,
   // forests. Validation is exact either way, so phase order only moves
   // work, never the outcome.
   std::vector<size_t> candidates;
+  MatchScratch scratch;
   index_.CollectBucket(x0, argmax, &candidates);
   for (size_t slot : candidates) {
     if (regions_[slot].epoch < current_epoch) continue;
-    if (RegionMatches(regions_[slot].model, x0, y0) &&
-        RegionMatches(regions_[slot].model, probe, y_probe)) {
+    if (RegionMatches(regions_[slot].model, x0, y0, &scratch) &&
+        RegionMatches(regions_[slot].model, probe, y_probe, &scratch)) {
       return slot;
     }
   }
@@ -279,8 +283,8 @@ size_t EndpointSession::FindMatchingRegion(const Vec& x0, const Vec& y0,
   for (size_t i = first_phase; i < candidates.size(); ++i) {
     const size_t slot = candidates[i];
     if (regions_[slot].epoch < current_epoch) continue;
-    if (RegionMatches(regions_[slot].model, x0, y0) &&
-        RegionMatches(regions_[slot].model, probe, y_probe)) {
+    if (RegionMatches(regions_[slot].model, x0, y0, &scratch) &&
+        RegionMatches(regions_[slot].model, probe, y_probe, &scratch)) {
       return slot;
     }
   }
@@ -299,8 +303,8 @@ size_t EndpointSession::FindMatchingRegion(const Vec& x0, const Vec& y0,
         std::binary_search(candidates.begin(), candidates.end(), slot)) {
       continue;
     }
-    if (RegionMatches(regions_[slot].model, x0, y0) &&
-        RegionMatches(regions_[slot].model, probe, y_probe)) {
+    if (RegionMatches(regions_[slot].model, x0, y0, &scratch) &&
+        RegionMatches(regions_[slot].model, probe, y_probe, &scratch)) {
       return slot;
     }
   }
@@ -519,6 +523,7 @@ bool EndpointSession::ReloadFromStore(
     std::vector<store::RegionRecord>* spills) const {
   std::vector<uint64_t> offsets;
   store_->CollectCandidates(x0, argmax, &offsets);
+  MatchScratch scratch;
   for (uint64_t offset : offsets) {
     Result<store::RegionRecord> record = store_->Read(offset);
     if (!record.ok()) {
@@ -529,8 +534,8 @@ bool EndpointSession::ReloadFromStore(
     // Same exact predicate as a RAM candidate, against the 2-query pair
     // the request already bought: a stale, corrupt, or merely
     // box-overlapping record is rejected here, never served.
-    if (!RegionMatches(record->model, x0, y0) ||
-        !RegionMatches(record->model, probe, y_probe)) {
+    if (!RegionMatches(record->model, x0, y0, &scratch) ||
+        !RegionMatches(record->model, probe, y_probe, &scratch)) {
       continue;
     }
     // The record's fingerprint was computed from these exact bits by the
@@ -656,6 +661,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
         "probabilities");
   }
   const size_t argmax = linalg::ArgMax(y0);
+  MatchScratch scratch;
 
   // 2a. Drift check resolution: the memoized model either still explains
   //     the live endpoint's answers (serve it — a kPointMemo that cost
@@ -664,8 +670,8 @@ Result<Interpretation> EndpointSession::InterpretCached(
   //     old epoch is invalidated and this request re-extracts fresh.
   bool drift_refetch = false;
   if (drift_check_model.has_value()) {
-    if (RegionMatches(*drift_check_model, x0, y0) &&
-        RegionMatches(*drift_check_model, probe, y_probe)) {
+    if (RegionMatches(*drift_check_model, x0, y0, &scratch) &&
+        RegionMatches(*drift_check_model, probe, y_probe, &scratch)) {
       Bump(&EngineStats::point_memo_hits);
       *outcome = CacheOutcome::kPointMemo;
       return CachedAnswer(*drift_check_model, c, &probe);
@@ -694,8 +700,8 @@ Result<Interpretation> EndpointSession::InterpretCached(
         model = regions_[slot].model;
       }
     }
-    if (model.has_value() && RegionMatches(*model, x0, y0) &&
-        RegionMatches(*model, probe, y_probe)) {
+    if (model.has_value() && RegionMatches(*model, x0, y0, &scratch) &&
+        RegionMatches(*model, probe, y_probe, &scratch)) {
       {
         // Memoize the point and teach the learned box: grow it to cover
         // x0, and file the slot under this argmax too when the region

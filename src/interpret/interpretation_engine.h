@@ -264,7 +264,9 @@ struct EngineResponse {
   /// exceeds the request's max_queries.
   uint64_t queries = 0;
   CacheOutcome cache_outcome = CacheOutcome::kBypass;
-  /// Hypercube-shrink iterations the solver attempted (0 on cache hits).
+  /// Hypercube-shrink iterations the solver attempted (0 on cache hits):
+  /// edges visited, including edges whose round the ray screen skipped
+  /// (see openapi_method.h), so queries are not iterations * (d+1).
   size_t shrink_iterations = 0;
   /// Wall-clock latency of the request inside the engine, milliseconds.
   /// For SubmitAsync/InterpretStream this is measured from SUBMISSION,
@@ -621,11 +623,19 @@ class EndpointSession
   void FilePointLocked(const PointKey& key, size_t slot) const
       REQUIRES(cache_mutex_);
 
+  /// RegionMatches' buffers: the candidate model's logits and
+  /// prediction. Each lookup owns one, so validating its candidates
+  /// allocates nothing after the first.
+  struct MatchScratch {
+    Vec logits;
+    Vec predicted;
+  };
+
   /// True when `model` predicts `y` at `x` within match_tol in every
   /// class. A non-finite difference (a NaN or infinite answer or
   /// prediction) never matches.
   bool RegionMatches(const api::LocalLinearModel& model, const Vec& x,
-                     const Vec& y) const;
+                     const Vec& y, MatchScratch* scratch) const;
 
   /// ClearCache's body, for callers already holding the writer lock.
   /// Also clears evicted_fingerprints_ — after an invalidation, a

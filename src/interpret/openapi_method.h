@@ -33,6 +33,34 @@
 //    redraws. The saturated path below does not use the directions: it
 //    draws fresh probes every iteration and factors each pair's masked
 //    rows.
+//  * Rounds are screened before they are sent. Theorem 2 says a round
+//    fails once any of its probes leaves x0's linear region, and most
+//    rounds of a cold extraction do. The linear regions of every PLM
+//    served here (PLNN, MaxOut, LMT leaves, grids) are convex polytopes,
+//    so if x0 + r*u lies in x0's region, so does x0 + s*r*u (s =
+//    shrink_factor), and along that ray the log-odds of every pair are
+//    affine in t: L(s) = (1-s)*L(0) + s*L(1). The screen probes the first
+//    kScreenRays = 2 rows u_j of U at x0 + r*u_j (once, at the first
+//    edge) and at x0 + s*r*u_j (at every edge — that point is row j of
+//    the next edge's round), and tests each pair against the reference:
+//    the ray bends when |L(s) - ((1-s)*L(0) + s*L(1))| >
+//    consistency_tol * (1 + max|L|). A pair with a probability below the
+//    usable threshold at any of the three points is inconclusive. Only a
+//    conclusive bend — a proof that x0 + r*u_j left the region — skips
+//    the round: r <- s*r, and the near predictions become the next
+//    edge's far ones. Otherwise the round goes out with only its d+1-k
+//    unscreened rows; the screened rows reuse their predictions and the
+//    solve runs as without the screen. The accepted round therefore has
+//    the same U, edge, probes and predictions as the unscreened loop,
+//    so the decision features, pairs, probes, edge length and iteration
+//    count (edges visited, screened or sent) are bit-identical to it;
+//    only the query count and the time change. A request that visits E
+//    edges with non-degenerate directions and sends R of their rounds
+//    costs 1 + k + k*E + (d+1-k)*R queries (k = 2) instead of
+//    1 + (d+1)*E: about 3.5x fewer at d = 64. Screen probes go through
+//    the same chunked dispatch and request controls as any round. The
+//    saturated path below is unchanged: it draws fresh probes every
+//    iteration, so there are no rays to reuse.
 //  * "Ω_{d+2} has a solution" becomes a residual test: the least-squares
 //    residual must satisfy ||A beta - rhs||_inf <= tol * (1 + ||rhs||_inf).
 //  * Softmax saturation at a probe (some probability underflowing to 0 away
@@ -61,7 +89,9 @@
 //    d+2 probes instead of 2(d+1) — roughly half.
 //  * Per-request controls (RequestOptions: query budget, deadline,
 //    cancellation) are checked before the anchor query and before every
-//    probe batch, so a request with max_queries = Q never issues more
+//    edge (for the whole of what the edge can spend: d+1 queries, plus
+//    the k far screen probes at the first screened edge) and every
+//    top-up batch, so a request with max_queries = Q never issues more
 //    than Q queries; on rejection the consumed count reported through
 //    InterpretCounted's RequestCost is exact. Probe batches are
 //    additionally routed through the latency-aware chunked dispatch
@@ -72,11 +102,12 @@
 //    by at most one chunk, not one batch, and partial-chunk consumption
 //    stays exact against api.query_count().
 //  * The shrink loop runs out of a per-request SolverWorkspace (probe
-//    set, prediction buffer, direction matrix, QR storage + scratch,
-//    masked-row scratch) reused across iterations and across the
-//    saturated top-up path: after the first iteration the solver itself
-//    allocates nothing — probe rescales, redraws, refactorizations, and
-//    solves all overwrite the same buffers. A caller that passes no
+//    set, prediction buffer, screen and round-tail rows, direction
+//    matrix, QR storage + scratch, masked-row scratch) reused across
+//    iterations and across the saturated top-up path: after the first
+//    round the solver itself allocates nothing — probe rescales,
+//    redraws, refactorizations, and solves all overwrite the same
+//    buffers. A caller that passes no
 //    workspace gets a request-local one; either way the result copies
 //    its probes out, so results are bit-identical.
 
@@ -91,7 +122,9 @@
 namespace openapi::interpret {
 
 struct OpenApiConfig {
-  size_t max_iterations = 100;   // paper's system parameter m
+  // Paper's system parameter m: edges visited, whether the ray screen
+  // skipped the edge's round or sent it.
+  size_t max_iterations = 100;
   double initial_edge = 1.0;     // paper initializes r = 1.0
   double shrink_factor = 0.5;    // paper halves r each failed iteration
   // Residual tolerance for the consistency test. Genuinely consistent
@@ -104,9 +137,10 @@ struct OpenApiConfig {
 
 /// Scratch buffers of one interpretation request, reused across the
 /// shrink loop's iterations and the saturated path's top-up draws. Every
-/// buffer grows to the request's largest shape on the first iteration and
-/// is only overwritten afterwards, so steady-state shrink iterations
-/// perform ZERO heap allocations inside the solver — the remaining
+/// buffer grows to the request's largest shape on the first screen and
+/// the first round sent, and is only overwritten afterwards, so
+/// steady-state shrink iterations perform ZERO heap allocations inside
+/// the solver — the remaining
 /// per-iteration allocations are the endpoint's own response vectors in
 /// PredictionApi::PredictBatch. Callers normally pass nullptr and let
 /// InterpretCounted keep a request-local workspace; a caller serving many
@@ -119,6 +153,14 @@ struct OpenApiConfig {
 struct SolverWorkspace {
   std::vector<Vec> probes;       // iteration's probe points
   std::vector<Vec> predictions;  // {y0, probe predictions...}
+  // Ray screen of the unsaturated path: the screened rays' probe points
+  // of the current dispatch, their predictions at the current edge r
+  // (`screen_far`) and at the next edge s*r (`screen_near`), and the
+  // round's unscreened probe rows (`round_tail`).
+  std::vector<Vec> screen_points;
+  std::vector<Vec> screen_far;
+  std::vector<Vec> screen_near;
+  std::vector<Vec> round_tail;
   // Request state of the unsaturated path: [1|U], row 0 = [1, 0^T] for
   // x0 and row i+1 = [1, u_i^T] for probe direction u_i, drawn once per
   // request; `qr` holds its factorization for the whole request.
@@ -137,8 +179,8 @@ struct SolverWorkspace {
   size_t factorizations = 0;
 
   /// Resets logical sizes while keeping every heap block — including each
-  /// probe/prediction ROW's buffer, which clearing the outer vectors
-  /// would free. A Cleared workspace behaves like a fresh one but regrows
+  /// probe/prediction/screen/round-tail ROW's buffer, which clearing the
+  /// outer vectors would free. A Cleared workspace behaves like a fresh one but regrows
   /// nothing at its old shapes; the engine's workspace pool Clears
   /// between requests. The request state (`directions`, `qr`,
   /// `factorizations`) is left alone: every request redraws and refactors
@@ -170,8 +212,9 @@ class OpenApiInterpreter : public BlackBoxInterpreter {
 
   /// Runs Algorithm 1. On success the returned Interpretation carries the
   /// exact D_c, the final probe set, per-pair core parameters, and the
-  /// number of shrink iterations. Fails with DidNotConverge only if no
-  /// consistent probe set was found within max_iterations (probability-0
+  /// number of shrink iterations (edges visited). Fails with
+  /// DidNotConverge only if no consistent probe set was found within
+  /// max_iterations (probability-0
   /// boundary case, an API that rounds its probabilities, or a class that
   /// saturates throughout the probed neighborhood).
   Result<Interpretation> Interpret(const api::PredictionApi& api,
@@ -184,7 +227,8 @@ class OpenApiInterpreter : public BlackBoxInterpreter {
   /// against `options`, so budget rejections report the request's true
   /// consumption) and leaves as the request's total, success or failure —
   /// a failed solve still consumed its probes. cost->iterations reports
-  /// the shrink iterations attempted; cost->wasted_queries / retries
+  /// the shrink iterations attempted (edges visited, including edges
+  /// whose round the ray screen skipped); cost->wasted_queries / retries
   /// accumulate the request's failed endpoint attempts (every endpoint
   /// touch, the anchor included, goes through the retry-aware dispatch,
   /// so a transiently failing endpoint costs retries, not the request).

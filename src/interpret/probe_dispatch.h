@@ -71,8 +71,8 @@ using linalg::Vec;
 /// shrink_iterations.
 ///  * `queries`: every query the endpoint charged for the request, served
 ///    or refused — always equal to what api.query_count() saw.
-///  * `iterations`: shrink iterations the solver attempted (0 on a cache
-///    hit).
+///  * `iterations`: shrink iterations the solver attempted — edges
+///    visited, screened or sent (0 on a cache hit).
 ///  * `wasted_queries`: queries charged by attempts that produced no
 ///    answer (a simple endpoint refuses before consuming — 0; a replica
 ///    set may have reserved rows before a shard was refused) plus a

@@ -79,8 +79,15 @@ void Matrix::Multiply(const Vec& x, Vec* out) const {
 }
 
 Vec Matrix::MultiplyTransposed(const Vec& x) const {
+  Vec out;
+  MultiplyTransposed(x, &out);
+  return out;
+}
+
+void Matrix::MultiplyTransposed(const Vec& x, Vec* out_vec) const {
   OPENAPI_CHECK_EQ(x.size(), rows_);
-  Vec out(cols_, 0.0);
+  Vec& out = *out_vec;
+  out.assign(cols_, 0.0);
   // Widen the output-column loop. Element c still accumulates row-by-row
   // in r order, so each out[c] is bit-identical to the scalar loop.
   for (size_t r = 0; r < rows_; ++r) {
@@ -99,7 +106,6 @@ Vec Matrix::MultiplyTransposed(const Vec& x) const {
     const double xr = x[r];
     for (; c < cols_; ++c) out[c] += row[c] * xr;
   }
-  return out;
 }
 
 Matrix Matrix::Multiply(const Matrix& other) const {

@@ -92,6 +92,11 @@ class Matrix {
   /// Transposed matrix-vector product A^T x: (cols) result.
   Vec MultiplyTransposed(const Vec& x) const;
 
+  /// A^T x written into *out (resized to cols()); no allocation when
+  /// out's capacity suffices. out must not alias x. The returning form
+  /// wraps this one, so both give the same bits.
+  void MultiplyTransposed(const Vec& x, Vec* out) const;
+
   /// Matrix-matrix product; this->cols() must equal other.rows().
   /// Cache-blocked (i-k-j inside square tiles) so large products — batched
   /// forward passes, per-region affine-map composition — stream each tile

@@ -107,6 +107,26 @@ TEST_F(OpenApiPlnnTest, AcceptedProbesShareTheRegion) {
   }
 }
 
+/// Rays the solver's screen probes per edge (kScreenRays in
+/// openapi_method.cc).
+constexpr size_t kScreenRays = 2;
+
+/// The number of rounds R a request with `screened_edges` = E
+/// non-degenerate edges sent, from the screened cost formula
+/// queries = 1 + k + k*E + (d+1-k)*R. Fails the test when `queries` fits
+/// no whole R in [1, E].
+size_t RoundsSent(uint64_t queries, size_t screened_edges, size_t d) {
+  const uint64_t screen = 1 + kScreenRays + kScreenRays * screened_edges;
+  EXPECT_GE(queries, screen);
+  const uint64_t tail = queries - screen;
+  const size_t row_cost = d + 1 - kScreenRays;
+  EXPECT_EQ(tail % row_cost, 0u) << "queries " << queries;
+  const size_t rounds = static_cast<size_t>(tail / row_cost);
+  EXPECT_GE(rounds, 1u);
+  EXPECT_LE(rounds, screened_edges);
+  return rounds;
+}
+
 TEST_F(OpenApiPlnnTest, ReportsQueriesAndIterations) {
   OpenApiInterpreter interpreter;
   Vec x0 = rng_.UniformVector(6, 0.1, 0.9);
@@ -115,8 +135,11 @@ TEST_F(OpenApiPlnnTest, ReportsQueriesAndIterations) {
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->iterations, 1u);
   EXPECT_LE(result->iterations, 100u);
-  // d+1 probes per iteration plus the single x0 query.
-  EXPECT_EQ(result->queries, result->iterations * 7 + 1);
+  // The x0 query, the screen's 2 far probes, its 2 near probes at every
+  // edge, and the d+1-2 unscreened rows of each round it let through —
+  // at most the unscreened loop's d+1 per edge plus the 2 far probes.
+  RoundsSent(result->queries, result->iterations, 6);
+  EXPECT_LE(result->queries, result->iterations * 7 + 1 + kScreenRays);
   EXPECT_EQ(api_.query_count(), result->queries);
   EXPECT_EQ(result->probes.size(), 7u);
   // Edge length follows the halving schedule.
@@ -249,8 +272,9 @@ TEST_F(OpenApiPlnnTest, DegenerateDirectionDrawShrinksAndRedraws) {
   EXPECT_GE(result->iterations, 2u);
   EXPECT_EQ(cost.iterations, result->iterations);
   EXPECT_LE(result->edge_length, 0.5);
-  // The degenerate iteration cost no probes.
-  EXPECT_EQ(cost.queries, 1 + (result->iterations - 1) * (d + 1));
+  // The degenerate iteration cost no probes: the screen starts at the
+  // redrawn edge, so only the later edges pay for it.
+  RoundsSent(cost.queries, result->iterations - 1, d);
   EXPECT_EQ(api_.query_count(), cost.queries);
   Vec truth = api::GroundTruthDecisionFeatures(net_.LocalModelAt(x0), 0);
   EXPECT_LT(linalg::L1Distance(result->dc, truth), 1e-6);

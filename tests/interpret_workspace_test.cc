@@ -70,9 +70,23 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace openapi::interpret {
 namespace {
 
+/// The heap block of every row of `rows`.
+std::vector<const double*> RowPtrs(const std::vector<Vec>& rows) {
+  std::vector<const double*> ptrs;
+  for (const Vec& row : rows) ptrs.push_back(row.data());
+  return ptrs;
+}
+
+/// The workspace's screen and round-tail row sets, in a fixed order.
+std::vector<std::vector<Vec>*> ScreenRowSets(SolverWorkspace* ws) {
+  return {&ws->screen_points, &ws->screen_far, &ws->screen_near,
+          &ws->round_tail};
+}
+
 /// One locally linear region everywhere: the closed form certifies on
-/// the first iteration, so every request costs exactly 1 + d + 1 queries
-/// and the solver's workload is identical across requests — the setup
+/// the first iteration, so every request costs exactly 1 + (d+1) + 2
+/// queries (the anchor, the round, the ray screen's far probes) and the
+/// solver's workload is identical across requests — the setup
 /// that makes allocation counts comparable.
 class OneRegionPlm : public api::Plm {
  public:
@@ -113,6 +127,13 @@ TEST(SolverWorkspaceClearTest, ClearKeepsEveryGrownBuffer) {
   for (const Vec& p : ws.probes) probe_ptrs.push_back(p.data());
   for (const Vec& y : ws.predictions) prediction_ptrs.push_back(y.data());
   const size_t probes_capacity = ws.probes.capacity();
+  // The ray screen's rows: k screen points and far/near predictions,
+  // and the round's d+1-k unscreened rows.
+  std::vector<std::vector<const double*>> screen_ptrs;
+  for (const std::vector<Vec>* rows : ScreenRowSets(&ws)) {
+    ASSERT_FALSE(rows->empty());
+    screen_ptrs.push_back(RowPtrs(*rows));
+  }
 
   ws.Clear();
   // Logical sizes reset...
@@ -133,6 +154,17 @@ TEST(SolverWorkspaceClearTest, ClearKeepsEveryGrownBuffer) {
     ws.predictions[i].resize(3);
     EXPECT_EQ(ws.predictions[i].data(), prediction_ptrs[i])
         << "prediction row " << i;
+  }
+  const std::vector<std::vector<Vec>*> screen_rows = ScreenRowSets(&ws);
+  for (size_t set = 0; set < screen_rows.size(); ++set) {
+    std::vector<Vec>& rows = *screen_rows[set];
+    ASSERT_EQ(rows.size(), screen_ptrs[set].size()) << "screen set " << set;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_TRUE(rows[i].empty()) << "screen set " << set << " row " << i;
+      rows[i].resize(1);
+      EXPECT_EQ(rows[i].data(), screen_ptrs[set][i])
+          << "screen set " << set << " row " << i;
+    }
   }
 }
 
@@ -168,6 +200,10 @@ TEST(SolverWorkspaceReuseTest, SecondRequestPerformsZeroSolverAllocations) {
   for (const Vec& y : ws.predictions) prediction_ptrs.push_back(y.data());
   const double* rhs_ptr = ws.rhs.data();
   const double* directions_ptr = ws.directions.data().data();
+  std::vector<std::vector<const double*>> screen_ptrs;
+  for (const std::vector<Vec>* rows : ScreenRowSets(&ws)) {
+    screen_ptrs.push_back(RowPtrs(*rows));
+  }
 
   const uint64_t second = run(b);
   const uint64_t third = run(c);
@@ -183,6 +219,11 @@ TEST(SolverWorkspaceReuseTest, SecondRequestPerformsZeroSolverAllocations) {
   }
   EXPECT_EQ(ws.rhs.data(), rhs_ptr);
   EXPECT_EQ(ws.directions.data().data(), directions_ptr);
+  const std::vector<std::vector<Vec>*> screen_rows = ScreenRowSets(&ws);
+  for (size_t set = 0; set < screen_rows.size(); ++set) {
+    EXPECT_EQ(RowPtrs(*screen_rows[set]), screen_ptrs[set])
+        << "screen set " << set;
+  }
 
   // And the heap agrees: the first request paid the workspace growth on
   // top of the identical per-request work (endpoint response vectors,

@@ -110,6 +110,12 @@ TEST(SimdParityTest, MultiplyTransposedMatchesReference) {
     Vec x = RandomVec(s.m, &rng);
     ExpectBitIdentical(reference::MultiplyTransposed(a, x),
                        a.MultiplyTransposed(x), "MultiplyTransposed");
+    // The write-into form overwrites a reused buffer of any old size
+    // with the same bits.
+    Vec out(s.k + 3, 7.0);
+    a.MultiplyTransposed(x, &out);
+    ExpectBitIdentical(reference::MultiplyTransposed(a, x), out,
+                       "MultiplyTransposed into");
   }
 }
 
