@@ -38,18 +38,9 @@ void ParallelForwardRowBlocks(
 }
 
 Vec EvaluateLocalModel(const LocalLinearModel& model, const Vec& x) {
-  Vec logits;
-  Vec out;
-  EvaluateLocalModelInto(model, x, &logits, &out);
-  return out;
-}
-
-void EvaluateLocalModelInto(const LocalLinearModel& model, const Vec& x,
-                            Vec* logits, Vec* out) {
-  model.weights.MultiplyTransposed(x, logits);
-  for (size_t c = 0; c < logits->size(); ++c) (*logits)[c] += model.bias[c];
-  out->resize(logits->size());
-  linalg::SoftmaxInto(logits->data(), logits->size(), out->data());
+  Vec logits = model.weights.MultiplyTransposed(x);
+  for (size_t c = 0; c < logits.size(); ++c) logits[c] += model.bias[c];
+  return linalg::Softmax(logits);
 }
 
 }  // namespace openapi::api

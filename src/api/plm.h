@@ -80,17 +80,9 @@ void ParallelForwardRowBlocks(
     size_t n, const std::function<void(size_t, size_t)>& fn);
 
 /// Evaluates a locally linear classifier: softmax(weights^T x + bias).
-/// Shared by the extraction module and the interpretation engine's region
-/// cache (extract::PredictWithLocalModel delegates here).
+/// Shared by the extraction module (extract::PredictWithLocalModel
+/// delegates here) and the session's ImportRegion.
 Vec EvaluateLocalModel(const LocalLinearModel& model, const Vec& x);
-
-/// EvaluateLocalModel written into *out, with *logits as scratch (both
-/// resized to the class count; neither may alias x or the other): no
-/// allocation once their capacity suffices. EvaluateLocalModel wraps
-/// this, so both give the same bits — the region cache validates many
-/// candidates per lookup with one pair of buffers.
-void EvaluateLocalModelInto(const LocalLinearModel& model, const Vec& x,
-                            Vec* logits, Vec* out);
 
 /// Privileged white-box view of a Plm (evaluation only; see file comment).
 class PlmOracle {

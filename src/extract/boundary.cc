@@ -3,18 +3,14 @@
 namespace openapi::extract {
 
 bool MatchesLocalModel(const api::PredictionApi& api,
-                       const LocalLinearModel& model, const linalg::Vec& x,
-                       double tol) {
+                       const LocalLinearModel& model, const linalg::Vec& x) {
   // analyze: direct-probe(exact-predicate validation probe: one point,
-  // one query, compared verbatim against the local model — the 2-query
+  // one query, checked against the local model in log-odds — the 2-query
   // accounting of the paper's Theorem 1 counts it explicitly)
-  linalg::Vec from_api = api.Predict(x);
-  linalg::Vec from_model = PredictWithLocalModel(model, x);
-  double worst = 0.0;
-  for (size_t c = 0; c < from_api.size(); ++c) {
-    worst = std::max(worst, std::fabs(from_api[c] - from_model[c]));
-  }
-  return worst <= tol;
+  const interpret::ObservedOdds observed(api.Predict(x));
+  linalg::Vec logits;
+  return interpret::ExplainsObservation(model, x, observed,
+                                       interpret::kDefaultMatchTol, &logits);
 }
 
 Result<BoundaryProbeResult> ProbeBoundary(
@@ -36,7 +32,7 @@ Result<BoundaryProbeResult> ProbeBoundary(
     return x;
   };
   auto matches = [&](double t) {
-    return MatchesLocalModel(api, model, at(t), config.match_tol);
+    return MatchesLocalModel(api, model, at(t));
   };
   auto spent = [&]() { return api.query_count() - queries_before; };
 

@@ -21,7 +21,6 @@ namespace openapi::extract {
 struct BoundaryProbeConfig {
   double max_distance = 2.0;    // furthest t examined along the ray
   double distance_tol = 1e-9;   // bisection stops at this interval width
-  double match_tol = 1e-9;      // |api - model| infinity-norm match bound
   size_t max_queries = 200;     // API query budget for one probe
 };
 
@@ -37,11 +36,10 @@ struct BoundaryProbeResult {
   uint64_t queries = 0;
 };
 
-/// True iff the API's prediction at x matches the extracted model within
-/// tol (infinity norm over class probabilities).
+/// Spends one query at x: true iff `model` explains the API's answer there
+/// (interpret::ExplainsObservation at interpret::kDefaultMatchTol).
 bool MatchesLocalModel(const api::PredictionApi& api,
-                       const LocalLinearModel& model, const linalg::Vec& x,
-                       double tol);
+                       const LocalLinearModel& model, const linalg::Vec& x);
 
 /// Bisection along x0 + t * direction, t in (0, max_distance].
 /// `direction` need not be normalized; distances are in units of its norm.

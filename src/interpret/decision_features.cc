@@ -63,6 +63,32 @@ Result<double> LogOdds(const Vec& y, size_t c, size_t c_prime) {
   return std::log(y[c]) - std::log(y[c_prime]);
 }
 
+ObservedOdds::ObservedOdds(const Vec& y)
+    : argmax(linalg::ArgMax(y)), log_odds(y.size()) {
+  for (double p : y) usable = usable && p >= kMinUsableProb && std::isfinite(p);
+  if (!usable) return;
+  const double log_a = std::log(y[argmax]);
+  for (size_t k = 0; k < y.size(); ++k) log_odds[k] = std::log(y[k]) - log_a;
+}
+
+bool ExplainsObservation(const api::LocalLinearModel& model, const Vec& x,
+                         const ObservedOdds& observed, double tol,
+                         Vec* logits) {
+  if (!observed.usable) return false;
+  model.weights.MultiplyTransposed(x, logits);
+  const Vec& z = *logits;
+  const double z_a = z[observed.argmax] + model.bias[observed.argmax];
+  for (size_t k = 0; k < z.size(); ++k) {  // k == a checks z_a is finite
+    const double l_k = observed.log_odds[k];
+    // Negated so a NaN fails too.
+    if (!(std::fabs((z[k] + model.bias[k] - z_a) - l_k) <=
+          tol * (1.0 + std::fabs(l_k)))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Result<Vec> BuildLogOddsRhs(const std::vector<Vec>& predictions, size_t c,
                             size_t c_prime) {
   Vec rhs;

@@ -8,6 +8,7 @@
 #ifndef OPENAPI_INTERPRET_DECISION_FEATURES_H_
 #define OPENAPI_INTERPRET_DECISION_FEATURES_H_
 
+#include <limits>
 #include <vector>
 
 #include "api/ground_truth.h"
@@ -86,6 +87,33 @@ Matrix BuildCoefficientMatrix(const Vec& x0, const std::vector<Vec>& probes);
 /// ln(y_c / y_{c'}) for one prediction vector. Fails with NumericalError if
 /// either probability is non-positive (softmax underflow at the API).
 Result<double> LogOdds(const Vec& y, size_t c, size_t c_prime);
+
+/// Smallest probability whose log still has full double precision: zero
+/// AND subnormal probabilities count as saturated (a subnormal's log is
+/// as useless as log(0)). The solver and ExplainsObservation share it.
+inline constexpr double kMinUsableProb = std::numeric_limits<double>::min();
+
+/// EngineConfig::match_tol's default and the boundary prober's bound.
+inline constexpr double kDefaultMatchTol = 1e-9;
+
+/// An observed prediction y in log-odds, computed once per point:
+/// a = argmax(y) and L_k = ln(y_k / y_a). Not `usable` (validates no
+/// model) when some y_k is below kMinUsableProb or not finite.
+struct ObservedOdds {
+  explicit ObservedOdds(const Vec& y);
+
+  size_t argmax = 0;
+  Vec log_odds;
+  bool usable = true;
+};
+
+/// "Local model M explains observed prediction y at x", in the log-odds
+/// domain Theorem 2 certifies regions in: with z = W^T x + b (W^T x
+/// written into *logits), true iff |(z_k - z_a) - L_k| <= tol*(1 + |L_k|)
+/// for every k != a. No softmax; a NaN fails, an unusable y never passes.
+bool ExplainsObservation(const api::LocalLinearModel& model, const Vec& x,
+                         const ObservedOdds& observed, double tol,
+                         Vec* logits);
 
 /// Right-hand side vector ln(y_c/y_{c'}) for each prediction in
 /// {y0, probe predictions...}, matching BuildCoefficientMatrix's row order.

@@ -236,29 +236,29 @@ EndpointSession::PointKey EndpointSession::PointKeyOf(const Vec& x0) {
   return {h1, h2};
 }
 
-bool EndpointSession::RegionMatches(const api::LocalLinearModel& model,
-                                    const Vec& x, const Vec& y,
-                                    MatchScratch* scratch) const {
-  api::EvaluateLocalModelInto(model, x, &scratch->logits,
-                              &scratch->predicted);
-  const Vec& predicted = scratch->predicted;
-  const double tol = engine_->config().match_tol;
-  for (size_t k = 0; k < y.size(); ++k) {
-    // Negated so a NaN difference fails too.
-    if (!(std::fabs(predicted[k] - y[k]) <= tol)) return false;
-  }
-  return true;
+bool EndpointSession::ValidationPair::ExplainedBy(
+    const api::LocalLinearModel& model) const {
+  return ExplainsObservation(model, x0, at_x0, tol, &logits) &&
+         ExplainsObservation(model, probe, at_probe, tol, &logits);
 }
 
-size_t EndpointSession::FindMatchingRegion(const Vec& x0, const Vec& y0,
-                                           const Vec& probe,
-                                           const Vec& y_probe,
-                                           size_t argmax) const {
+std::optional<EndpointSession::RegionMatch>
+EndpointSession::FindMatchingRegion(const ValidationPair& pair) const {
   util::ReaderMutexLock lock(cache_mutex_);
   // Drift bumps invalidate the whole cache eagerly, so slots at an older
   // epoch should never be visible here; the skip is belt-and-braces so a
   // stale closed form cannot serve even mid-invalidation.
   const uint64_t current_epoch = epoch_.load(std::memory_order_relaxed);
+  // Takes the region as an argument: the thread-safety analysis does not
+  // carry the reader lock into a lambda body.
+  auto match = [&](size_t slot,
+                   const CachedRegion& region) -> std::optional<RegionMatch> {
+    if (!region.occupied || region.epoch < current_epoch ||
+        !pair.ExplainedBy(region.model)) {
+      return std::nullopt;
+    }
+    return RegionMatch{slot, region.fingerprint, region.model};
+  };
   // Point location: stab the learned boxes and validate each candidate
   // with the exact predicate. Boxes only cover what traffic has
   // certified, so they can admit a false candidate (validation rejects
@@ -269,24 +269,14 @@ size_t EndpointSession::FindMatchingRegion(const Vec& x0, const Vec& y0,
   // forests. Validation is exact either way, so phase order only moves
   // work, never the outcome.
   std::vector<size_t> candidates;
-  MatchScratch scratch;
-  index_.CollectBucket(x0, argmax, &candidates);
+  index_.CollectBucket(pair.x0, pair.argmax(), &candidates);
   for (size_t slot : candidates) {
-    if (regions_[slot].epoch < current_epoch) continue;
-    if (RegionMatches(regions_[slot].model, x0, y0, &scratch) &&
-        RegionMatches(regions_[slot].model, probe, y_probe, &scratch)) {
-      return slot;
-    }
+    if (auto hit = match(slot, regions_[slot])) return hit;
   }
   const size_t first_phase = candidates.size();
-  index_.CollectRest(x0, argmax, &candidates);
+  index_.CollectRest(pair.x0, pair.argmax(), &candidates);
   for (size_t i = first_phase; i < candidates.size(); ++i) {
-    const size_t slot = candidates[i];
-    if (regions_[slot].epoch < current_epoch) continue;
-    if (RegionMatches(regions_[slot].model, x0, y0, &scratch) &&
-        RegionMatches(regions_[slot].model, probe, y_probe, &scratch)) {
-      return slot;
-    }
+    if (auto hit = match(candidates[i], regions_[candidates[i]])) return hit;
   }
   // No candidate survived. A learned box UNDER-covers its region until
   // traffic teaches it, so this is not yet a miss: scan the remaining
@@ -298,17 +288,12 @@ size_t EndpointSession::FindMatchingRegion(const Vec& x0, const Vec& y0,
   // pays it once and then pays the extraction that dwarfs it.
   std::sort(candidates.begin(), candidates.end());
   for (size_t slot = 0; slot < regions_.size(); ++slot) {
-    if (!regions_[slot].occupied ||
-        regions_[slot].epoch < current_epoch ||
-        std::binary_search(candidates.begin(), candidates.end(), slot)) {
+    if (std::binary_search(candidates.begin(), candidates.end(), slot)) {
       continue;
     }
-    if (RegionMatches(regions_[slot].model, x0, y0, &scratch) &&
-        RegionMatches(regions_[slot].model, probe, y_probe, &scratch)) {
-      return slot;
-    }
+    if (auto hit = match(slot, regions_[slot])) return hit;
   }
-  return kNoSlot;
+  return std::nullopt;
 }
 
 void EndpointSession::DropRegionAuxLocked(size_t slot) const {
@@ -518,12 +503,10 @@ void EndpointSession::PersistSpills(
 }
 
 bool EndpointSession::ReloadFromStore(
-    const Vec& x0, const Vec& y0, const Vec& probe, const Vec& y_probe,
-    size_t argmax, api::LocalLinearModel* reloaded,
+    const ValidationPair& pair, api::LocalLinearModel* reloaded,
     std::vector<store::RegionRecord>* spills) const {
   std::vector<uint64_t> offsets;
-  store_->CollectCandidates(x0, argmax, &offsets);
-  MatchScratch scratch;
+  store_->CollectCandidates(pair.x0, pair.argmax(), &offsets);
   for (uint64_t offset : offsets) {
     Result<store::RegionRecord> record = store_->Read(offset);
     if (!record.ok()) {
@@ -534,17 +517,14 @@ bool EndpointSession::ReloadFromStore(
     // Same exact predicate as a RAM candidate, against the 2-query pair
     // the request already bought: a stale, corrupt, or merely
     // box-overlapping record is rejected here, never served.
-    if (!RegionMatches(record->model, x0, y0, &scratch) ||
-        !RegionMatches(record->model, probe, y_probe, &scratch)) {
-      continue;
-    }
+    if (!pair.ExplainedBy(record->model)) continue;
     // The record's fingerprint was computed from these exact bits by the
     // session that persisted it (the log round-trips raw doubles), so a
     // later re-extraction of the same region deduplicates against this
     // slot.
     InsertRegion(api::LocalLinearModel(record->model), record->fingerprint,
-                 record->anchor, x0, argmax, record->lo, record->hi,
-                 /*outcome=*/nullptr, spills);
+                 record->anchor, pair.x0, pair.argmax(), record->lo,
+                 record->hi, /*outcome=*/nullptr, spills);
     *reloaded = std::move(record->model);
     return true;
   }
@@ -660,74 +640,59 @@ Result<Interpretation> EndpointSession::InterpretCached(
         "endpoint answered the validation pair with non-finite "
         "probabilities");
   }
-  const size_t argmax = linalg::ArgMax(y0);
-  MatchScratch scratch;
+  const ValidationPair validation{x0, probe, ObservedOdds(y0),
+                                  ObservedOdds(y_probe), config.match_tol, {}};
+  const size_t argmax = validation.argmax();
 
   // 2a. Drift check resolution: the memoized model either still explains
   //     the live endpoint's answers (serve it — a kPointMemo that cost
   //     the 2-query pair) or the endpoint swapped models underneath the
   //     cache, in which case every cached/stored closed form from the
-  //     old epoch is invalidated and this request re-extracts fresh.
+  //     old epoch is invalidated and this request re-extracts fresh (an
+  //     unusable pair can tell neither, so it only misses).
   bool drift_refetch = false;
   if (drift_check_model.has_value()) {
-    if (RegionMatches(*drift_check_model, x0, y0, &scratch) &&
-        RegionMatches(*drift_check_model, probe, y_probe, &scratch)) {
+    if (validation.ExplainedBy(*drift_check_model)) {
       Bump(&EngineStats::point_memo_hits);
       *outcome = CacheOutcome::kPointMemo;
       return CachedAnswer(*drift_check_model, c, &probe);
     }
-    Bump(&EngineStats::drift_events);
-    InvalidateStaleRegions();
-    drift_refetch = true;
+    if (validation.usable()) {
+      Bump(&EngineStats::drift_events);
+      InvalidateStaleRegions();
+      drift_refetch = true;
+    }
   }
 
   // Eviction spill records staged under the writer lock on any of the
   // paths below; persisted (store mutex only) after the lock is gone.
   std::vector<store::RegionRecord> spills;
-  size_t slot = FindMatchingRegion(x0, y0, probe, y_probe, argmax);
-  if (slot != kNoSlot) {
-    // A racing ClearCache or eviction may have dropped (or refilled) the
-    // slot between the scan and here, so copy under the lock only a slot
-    // that is still there and occupied — an evicted slot holds an empty
-    // model — and re-validate the copy against the API output before
-    // trusting it.
-    std::optional<api::LocalLinearModel> model;
-    uint64_t fingerprint = 0;
+  if (std::optional<RegionMatch> hit = FindMatchingRegion(validation)) {
     {
-      util::ReaderMutexLock lock(cache_mutex_);
-      if (slot < regions_.size() && regions_[slot].occupied) {
-        fingerprint = regions_[slot].fingerprint;
-        model = regions_[slot].model;
+      // Memoize the point and teach the learned box: grow it to cover
+      // x0, and file the slot under this argmax too when the region
+      // spans the decision boundary, so the next nearby request
+      // resolves in the index stab instead of the fallback scan. The
+      // occupancy and fingerprint checks keep a slot that a racing
+      // eviction or ClearCache emptied or refilled out of the memo.
+      util::WriterMutexLock lock(cache_mutex_);
+      const size_t slot = hit->slot;
+      if (slot < regions_.size() && regions_[slot].occupied &&
+          regions_[slot].fingerprint == hit->fingerprint) {
+        FilePointLocked(key, slot);
+        regions_[slot].hits.fetch_add(1, std::memory_order_relaxed);
+        index_.Expand(slot, x0);
+        index_.File(slot, argmax);
+        // The memo and the box grew: keep the byte ceiling while
+        // protecting the slot just served.
+        RefreshIndexBytesLocked();
+        EnforceByteBudgetLocked(slot, &spills);
       }
     }
-    if (model.has_value() && RegionMatches(*model, x0, y0, &scratch) &&
-        RegionMatches(*model, probe, y_probe, &scratch)) {
-      {
-        // Memoize the point and teach the learned box: grow it to cover
-        // x0, and file the slot under this argmax too when the region
-        // spans the decision boundary, so the next nearby request
-        // resolves in the index stab instead of the fallback scan. The
-        // occupancy and fingerprint checks keep an evicted or refilled
-        // slot from poisoning the memo.
-        util::WriterMutexLock lock(cache_mutex_);
-        if (slot < regions_.size() && regions_[slot].occupied &&
-            regions_[slot].fingerprint == fingerprint) {
-          FilePointLocked(key, slot);
-          regions_[slot].hits.fetch_add(1, std::memory_order_relaxed);
-          index_.Expand(slot, x0);
-          index_.File(slot, argmax);
-          // The memo and the box grew: keep the byte ceiling while
-          // protecting the slot just served.
-          RefreshIndexBytesLocked();
-          EnforceByteBudgetLocked(slot, &spills);
-        }
-      }
-      PersistSpills(&spills);
-      Bump(&EngineStats::cache_hits);
-      *outcome = CacheOutcome::kMemoryHit;
-      return CachedAnswer(*model, c, &probe);
-    }
-    // The slot vanished under us: treat the request as a miss below.
+    PersistSpills(&spills);
+    Bump(&EngineStats::cache_hits);
+    *outcome = CacheOutcome::kMemoryHit;
+    return CachedAnswer(hit->model, c, &probe);
   }
 
   // 2b. Persistent tier: RAM missed, but the region may sit on the
@@ -738,8 +703,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
   //     saves the entire extraction.
   if (store_ != nullptr) {
     api::LocalLinearModel reloaded;
-    if (ReloadFromStore(x0, y0, probe, y_probe, argmax, &reloaded,
-                        &spills)) {
+    if (ReloadFromStore(validation, &reloaded, &spills)) {
       PersistSpills(&spills);
       Bump(&EngineStats::disk_hits);
       *outcome = CacheOutcome::kDiskHit;

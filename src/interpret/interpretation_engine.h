@@ -100,6 +100,13 @@
 // needs the candidate test — but candidates are scanned under a shared
 // lock, so readers proceed in parallel and only insertions serialize.
 //
+// Hits validate in LOG-ODDS, the domain Theorem 2 certifies regions in:
+// the RAM hit, the disk hit and the drift check all call one predicate,
+// ExplainsObservation (decision_features.h), which still sees a wrong
+// region when a confident endpoint's non-argmax probabilities are all
+// tiny. A class that underflows (below kMinUsableProb) at either point of
+// the pair validates nothing, so that request misses and extracts.
+//
 // Determinism: each request derives its probe RNG statelessly from
 // (seed, request index) via Rng::MixSeed, so result CONTENT does not
 // depend on the thread count, scheduling, or stream consumption order
@@ -191,9 +198,9 @@ struct EngineConfig {
   /// entry, and store directory entry tagged with an older epoch is
   /// invalidated — stale closed forms are re-extracted, never served.
   uint64_t drift_check_interval = 0;
-  /// Match tolerance when validating a cached region model against the
-  /// API's output (infinity norm over probabilities).
-  double match_tol = 1e-9;
+  /// Relative log-odds tolerance of ExplainsObservation, the one check of
+  /// a cached model against the endpoint (hit, disk hit, drift check).
+  double match_tol = kDefaultMatchTol;
   /// Relative quantization of the region fingerprint used for dedup.
   double fingerprint_resolution = 1e-6;
 };
@@ -538,16 +545,38 @@ class EndpointSession
                                          util::Rng* rng, RequestCost* cost,
                                          CacheOutcome* outcome) const;
 
-  /// Returns the slot whose model explains (x0, y0) and (probe, y_probe),
-  /// or SIZE_MAX. Takes the shared (reader) lock itself. `argmax` is the
-  /// predicted class at x0 (from y0) selecting the index forest stabbed
-  /// first. Candidates come from the index's stabbing query and the full
-  /// scan runs only when none of them validates — the hit/miss decision
-  /// (and therefore every downstream query count) is that of a linear
-  /// scan over every occupied slot.
-  size_t FindMatchingRegion(const Vec& x0, const Vec& y0, const Vec& probe,
-                            const Vec& y_probe, size_t argmax) const
-      EXCLUDES(cache_mutex_);
+  /// One request's 2-query validation pair, each answer observed once in
+  /// log-odds. `logits` is the predicate's scratch for every candidate.
+  struct ValidationPair {
+    /// True when `model` explains both points at `tol`.
+    bool ExplainedBy(const api::LocalLinearModel& model) const;
+    /// False when a class underflows at either point: nothing validates.
+    bool usable() const { return at_x0.usable && at_probe.usable; }
+    size_t argmax() const { return at_x0.argmax; }  // forest stabbed first
+
+    const Vec& x0;
+    const Vec& probe;
+    const ObservedOdds at_x0;
+    const ObservedOdds at_probe;
+    const double tol;
+    mutable Vec logits;
+  };
+
+  /// A validated RAM candidate, copied under the reader lock that
+  /// validated it, so the hit serves it without validating it again.
+  struct RegionMatch {
+    size_t slot;
+    uint64_t fingerprint;
+    api::LocalLinearModel model;
+  };
+
+  /// The first cached region whose model explains `pair`, or nullopt.
+  /// Takes the shared (reader) lock itself. Candidates come from the
+  /// index's stabbing query and the full scan runs only when none of them
+  /// validates — the hit/miss decision (and every downstream query count)
+  /// is that of a linear scan over every occupied slot.
+  std::optional<RegionMatch> FindMatchingRegion(
+      const ValidationPair& pair) const EXCLUDES(cache_mutex_);
 
   /// Inserts `model` (deduplicating by fingerprint; evicting at count
   /// capacity or byte budget), memoizes memo_point -> slot, and files the
@@ -577,8 +606,7 @@ class EndpointSession
   /// and true returned — even when the byte budget kept it from being
   /// cached, the request is still served from it. False when nothing on
   /// disk explains the pair.
-  bool ReloadFromStore(const Vec& x0, const Vec& y0, const Vec& probe,
-                       const Vec& y_probe, size_t argmax,
+  bool ReloadFromStore(const ValidationPair& pair,
                        api::LocalLinearModel* reloaded,
                        std::vector<store::RegionRecord>* spills) const
       EXCLUDES(cache_mutex_);
@@ -622,20 +650,6 @@ class EndpointSession
   /// per-region key list. Requires the writer lock.
   void FilePointLocked(const PointKey& key, size_t slot) const
       REQUIRES(cache_mutex_);
-
-  /// RegionMatches' buffers: the candidate model's logits and
-  /// prediction. Each lookup owns one, so validating its candidates
-  /// allocates nothing after the first.
-  struct MatchScratch {
-    Vec logits;
-    Vec predicted;
-  };
-
-  /// True when `model` predicts `y` at `x` within match_tol in every
-  /// class. A non-finite difference (a NaN or infinite answer or
-  /// prediction) never matches.
-  bool RegionMatches(const api::LocalLinearModel& model, const Vec& x,
-                     const Vec& y, MatchScratch* scratch) const;
 
   /// ClearCache's body, for callers already holding the writer lock.
   /// Also clears evicted_fingerprints_ — after an invalidation, a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "linalg/least_squares.h"
@@ -12,14 +11,6 @@
 
 namespace openapi::interpret {
 namespace {
-
-/// Smallest probability whose log still has full double precision. Zero
-/// AND subnormal probabilities count as saturated: a subnormal's ulp
-/// error blows up log's accuracy far beyond consistency_tol, so a
-/// subnormal y0[k] is just as unshrinkable a failure at the x0 row as an
-/// exact zero. The detector, the reference pick, and the masked solver
-/// must all agree on this threshold.
-constexpr double kMinUsableProb = std::numeric_limits<double>::min();
 
 /// Rays of the request's direction draw the unsaturated path screens
 /// before sending a round: rows 0..kScreenRays-1 of U. On a d = 64 PLNN,

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "api/ground_truth.h"
 #include "api/prediction_api.h"
 #include "nn/plnn.h"
@@ -50,27 +48,6 @@ TEST(PredictionApiTest, RoundingTruncatesProbabilities) {
     // Every rounded value is a multiple of 0.01.
     double scaled = y_rounded[c] * 100.0;
     EXPECT_NEAR(scaled, std::round(scaled), 1e-9);
-  }
-}
-
-TEST(LocalModelTest, EvaluateIntoMatchesReturningFormBitForBit) {
-  // The region cache validates candidates through the write-into form
-  // with one pair of reused buffers; its decisions must be those of the
-  // returning form, so the bits must agree whatever the buffers held.
-  nn::Plnn net = MakeNet(3);
-  util::Rng rng(4);
-  Vec logits(9, -1.0);
-  Vec out(1, 5.0);
-  for (int trial = 0; trial < 20; ++trial) {
-    const Vec x = rng.UniformVector(4, -1.0, 2.0);
-    const LocalLinearModel model = net.LocalModelAt(x);
-    const Vec expected = EvaluateLocalModel(model, x);
-    EvaluateLocalModelInto(model, x, &logits, &out);
-    ASSERT_EQ(out.size(), expected.size());
-    for (size_t k = 0; k < out.size(); ++k) {
-      EXPECT_EQ(std::memcmp(&out[k], &expected[k], sizeof(double)), 0)
-          << "trial " << trial << " class " << k;
-    }
   }
 }
 

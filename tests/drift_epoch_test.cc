@@ -12,12 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "api/fault_injecting_api.h"
+#include "api/ground_truth.h"
 #include "api/plm.h"
 #include "grid_plm.h"
 #include "interpret/interpretation_engine.h"
@@ -107,6 +109,81 @@ TEST(DriftEpochTest, MemoDriftCheckCatchesSwapAndRefetches) {
   // endpoint it ever fronted.
   stats = session->stats();
   EXPECT_EQ(stats.queries, api.query_count());
+}
+
+/// A single-region PLM: one affine softmax classifier everywhere.
+class AffinePlm : public api::Plm {
+ public:
+  explicit AffinePlm(api::LocalLinearModel model) : model_(std::move(model)) {}
+  size_t dim() const override { return model_.weights.rows(); }
+  size_t num_classes() const override { return model_.bias.size(); }
+  Vec Predict(const Vec& x) const override {
+    return api::EvaluateLocalModel(model_, x);
+  }
+
+ private:
+  api::LocalLinearModel model_;
+};
+
+// ---------------------------------------------------------------------------
+// The detector still sees a swap on a CONFIDENT endpoint. Class 0 wins by
+// about 40 nats on both models, so every other probability is below
+// 1e-15 before and after the swap and no probability moves by 1e-9; only
+// the logit gaps, which the swap doubles, tell the models apart.
+// ---------------------------------------------------------------------------
+TEST(DriftEpochTest, ConfidentSwapWithSameArgmaxIsCaught) {
+  util::Rng rng(13);
+  api::LocalLinearModel before;
+  before.weights = linalg::Matrix(kDim, kClasses);
+  for (size_t j = 0; j < kDim; ++j) {
+    for (size_t k = 0; k < kClasses; ++k) {
+      before.weights(j, k) = rng.Uniform(-1.0, 1.0);
+    }
+  }
+  before.bias = {40.0, 0.0, 0.0};
+  api::LocalLinearModel after = before;
+  for (size_t j = 0; j < kDim; ++j) {
+    for (size_t k = 1; k < kClasses; ++k) after.weights(j, k) *= 2.0;
+  }
+  AffinePlm plm_before(before), plm_after(after);
+  api::PredictionApi inner_before(&plm_before);
+  api::PredictionApi inner_after(&plm_after);
+  api::FaultInjectingApi api(&inner_before, api::FaultConfig{});
+
+  EngineConfig config;
+  config.num_threads = 1;
+  config.drift_check_interval = 1;
+  InterpretationEngine engine(config);
+  auto session = engine.OpenSession(api);
+
+  const Vec x = rng.UniformVector(kDim, 0.2, 0.8);
+  const Vec y_before = plm_before.Predict(x);
+  const Vec y_after = plm_after.Predict(x);
+  ASSERT_EQ(linalg::ArgMax(y_before), linalg::ArgMax(y_after));
+  for (size_t k = 0; k < kClasses; ++k) {
+    ASSERT_LT(std::fabs(y_before[k] - y_after[k]), 1e-9) << "class " << k;
+  }
+
+  auto miss = session->Interpret({x, 1, {}}, /*seed=*/4, /*stream=*/0);
+  ASSERT_TRUE(miss.result.ok()) << miss.result.status().ToString();
+  EXPECT_EQ(miss.cache_outcome, CacheOutcome::kMiss);
+  auto hit = session->Interpret({x, 1, {}}, /*seed=*/4, /*stream=*/1);
+  ASSERT_TRUE(hit.result.ok()) << hit.result.status().ToString();
+  EXPECT_EQ(hit.cache_outcome, CacheOutcome::kPointMemo);
+  EXPECT_EQ(session->stats().drift_events, 0u);
+
+  api.SwapInner(&inner_after);
+  auto stale = session->Interpret({x, 1, {}}, /*seed=*/4, /*stream=*/2);
+  ASSERT_TRUE(stale.result.ok()) << stale.result.status().ToString();
+  EXPECT_EQ(stale.cache_outcome, CacheOutcome::kStaleRefetch);
+  EXPECT_EQ(session->drift_epoch(), 1u);
+  EXPECT_EQ(session->stats().drift_events, 1u);
+  const Vec truth = api::GroundTruthDecisionFeatures(after, 1);
+  ASSERT_EQ(stale.result->dc.size(), truth.size());
+  for (size_t j = 0; j < truth.size(); ++j) {
+    EXPECT_NEAR(stale.result->dc[j], truth[j], 1e-6) << "dim " << j;
+  }
+  EXPECT_EQ(session->stats().queries, api.query_count());
 }
 
 // ---------------------------------------------------------------------------

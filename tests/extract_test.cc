@@ -274,6 +274,59 @@ TEST(BoundaryTest, ReportsNoBoundaryWhenRayStaysInside) {
   FAIL() << "could not construct an inside ray";
 }
 
+TEST(BoundaryTest, MatchesWhiteBoxBisectionOnConfidentEndpoint) {
+  // Inputs scaled by 100 make the endpoint confident: p_max is within
+  // ~1e-9 of 1, so the non-argmax probabilities on both sides of a
+  // boundary differ by less than any absolute probability tolerance.
+  // The log-odds match still sees the boundary where the white-box
+  // activation pattern changes.
+  const size_t d = 16;
+  const double s = 100.0;
+  util::Rng init_rng(64);
+  nn::Plnn net({d, 2 * d, d, 10}, &init_rng);
+  api::PredictionApi api(&net);
+  LocalModelExtractor extractor;
+  util::Rng rng(65);
+  BoundaryProbeConfig config;
+  auto at = [](const Vec& x0, const Vec& direction, double t) {
+    Vec x = x0;
+    linalg::Axpy(t, direction, &x);
+    return x;
+  };
+  size_t rays = 0;
+  for (int attempt = 0; attempt < 200 && rays < 20; ++attempt) {
+    Vec x0 = rng.UniformVector(d, 0.2, 0.8);
+    for (double& v : x0) v *= s;
+    Vec direction = rng.GaussianVector(d, 0, 1);
+    const double norm = linalg::Norm2(direction);
+    for (double& v : direction) v /= norm;
+    const uint64_t region = net.RegionId(x0);
+    if (net.RegionId(at(x0, direction, config.max_distance)) == region) {
+      continue;
+    }
+    // White-box bisection: the region is convex, so along the ray it is
+    // one interval [0, t*].
+    double lo = 0.0, hi = config.max_distance;
+    while (hi - lo > 1e-13) {
+      const double mid = 0.5 * (lo + hi);
+      (net.RegionId(at(x0, direction, mid)) == region ? lo : hi) = mid;
+    }
+    auto extracted = extractor.Extract(api, x0, &rng);
+    ASSERT_TRUE(extracted.ok()) << extracted.status().ToString();
+    auto probe = ProbeBoundary(api, extracted->model, x0, direction, config);
+    ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+    ASSERT_TRUE(probe->found) << "ray " << rays;
+    // Within 1e-6 relative. The match's resolution along a ray is
+    // absolute (a relative log-odds tolerance over the logit slope past
+    // the boundary), so the scale is floored at 0.1 for boundaries
+    // close to x0.
+    EXPECT_NEAR(probe->inside_distance, lo, 1e-6 * std::max(lo, 0.1))
+        << "ray " << rays;
+    ++rays;
+  }
+  EXPECT_EQ(rays, 20u);
+}
+
 TEST(BoundaryTest, RejectsBadArguments) {
   nn::Plnn net = MakeNet(15);
   api::PredictionApi api(&net);

@@ -8,16 +8,20 @@
 // probe, y_probe) question; the session then serves the request as
 // usual, so the cache evolves exactly as it does in production. Requests
 // run sequentially with num_threads = 1, so any divergence is a semantic
-// difference in the lookup, not scheduling noise.
+// difference in the lookup, not scheduling noise. Both lookups decide
+// with the library's one predicate (a model explains the pair in
+// log-odds), so every answer the session serves is also checked against
+// the white-box ground truth: a predicate that admits the wrong region
+// fails there even though both lookups agree.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "api/ground_truth.h"
 #include "api/plm.h"
 #include "data/synthetic.h"
+#include "eval/exactness.h"
 #include "interpret/interpretation_engine.h"
 #include "lmt/lmt.h"
 #include "nn/plnn.h"
@@ -31,27 +35,29 @@ class EndpointSessionTestPeer {
  public:
   static constexpr size_t kNoSlot = static_cast<size_t>(-1);
 
+  using Pair = EndpointSession::ValidationPair;
+
+  /// The request's validation pair, observed at the session's tolerance.
+  static Pair MakePair(const EndpointSession& session, const Vec& x0,
+                       const Vec& y0, const Vec& probe, const Vec& y_probe) {
+    return Pair{x0, probe, ObservedOdds(y0), ObservedOdds(y_probe),
+                session.engine_->config().match_tol, {}};
+  }
+
   /// The session's own lookup: index stab, then the fallback scan.
-  static size_t Find(const EndpointSession& session, const Vec& x0,
-                     const Vec& y0, const Vec& probe, const Vec& y_probe) {
-    return session.FindMatchingRegion(x0, y0, probe, y_probe,
-                                      linalg::ArgMax(y0));
+  static size_t Find(const EndpointSession& session, const Pair& pair) {
+    auto hit = session.FindMatchingRegion(pair);
+    return hit.has_value() ? hit->slot : kNoSlot;
   }
 
   /// The oracle: the first occupied, current-epoch slot, in slot order,
-  /// whose model explains both points within the session's tolerance.
-  static size_t LinearScan(const EndpointSession& session, const Vec& x0,
-                           const Vec& y0, const Vec& probe,
-                           const Vec& y_probe) {
+  /// whose model explains both points of the pair.
+  static size_t LinearScan(const EndpointSession& session, const Pair& pair) {
     util::ReaderMutexLock lock(session.cache_mutex_);
-    const double tol = session.engine_->config().match_tol;
     for (size_t slot = 0; slot < session.regions_.size(); ++slot) {
       const auto& region = session.regions_[slot];
       if (!region.occupied || region.epoch < session.drift_epoch()) continue;
-      if (Explains(region.model, x0, y0, tol) &&
-          Explains(region.model, probe, y_probe, tol)) {
-        return slot;
-      }
+      if (pair.ExplainedBy(region.model)) return slot;
     }
     return kNoSlot;
   }
@@ -60,16 +66,6 @@ class EndpointSessionTestPeer {
                               size_t c) {
     util::ReaderMutexLock lock(session.cache_mutex_);
     return api::GroundTruthDecisionFeatures(session.regions_[slot].model, c);
-  }
-
- private:
-  static bool Explains(const api::LocalLinearModel& model, const Vec& x,
-                       const Vec& y, double tol) {
-    const Vec predicted = api::EvaluateLocalModel(model, x);
-    for (size_t k = 0; k < y.size(); ++k) {
-      if (std::fabs(predicted[k] - y[k]) > tol) return false;
-    }
-    return true;
   }
 };
 
@@ -121,7 +117,8 @@ std::vector<Step> MakeTape(size_t n, size_t d, size_t num_classes,
   return tape;
 }
 
-void RunTapeAgainstOracle(const api::Plm& model,
+template <typename WhiteBoxPlm>
+void RunTapeAgainstOracle(const WhiteBoxPlm& model,
                           const std::vector<Step>& tape, size_t capacity,
                           uint64_t seed) {
   EngineConfig config;
@@ -148,9 +145,10 @@ void RunTapeAgainstOracle(const api::Plm& model,
                                       /*count=*/1, &probe_rng)[0];
     const Vec y0 = oracle_api.Predict(step.x0);
     const Vec y_probe = oracle_api.Predict(probe);
-    const size_t found = Peer::Find(*session, step.x0, y0, probe, y_probe);
-    const size_t expected =
-        Peer::LinearScan(*session, step.x0, y0, probe, y_probe);
+    const Peer::Pair pair = Peer::MakePair(*session, step.x0, y0, probe,
+                                           y_probe);
+    const size_t found = Peer::Find(*session, pair);
+    const size_t expected = Peer::LinearScan(*session, pair);
     ASSERT_EQ(found != Peer::kNoSlot, expected != Peer::kNoSlot)
         << "step " << i << ": index lookup and linear oracle disagree";
     if (expected != Peer::kNoSlot) {
@@ -161,7 +159,13 @@ void RunTapeAgainstOracle(const api::Plm& model,
     }
     ++checked;
 
-    session->Interpret({step.x0, step.c, {}}, seed, i);
+    EngineResponse served =
+        session->Interpret({step.x0, step.c, {}}, seed, i);
+    ASSERT_TRUE(served.result.ok()) << "step " << i << ": "
+                                    << served.result.status().ToString();
+    EXPECT_LT(eval::L1Dist(model, step.x0, step.c, served.result->dc), 1e-6)
+        << "step " << i << " ("
+        << CacheOutcomeName(served.cache_outcome) << ")";
   }
   EXPECT_EQ(checked, steps);
   EXPECT_GT(oracle_hits, 0u);

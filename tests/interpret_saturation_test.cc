@@ -266,6 +266,39 @@ TEST(SaturationRegressionTest, EngineMissPathInheritsTheFix) {
   EXPECT_EQ(stats.queries, api.query_count());
 }
 
+TEST(SaturationRegressionTest, SaturatedPairValidatesNothingAndIsNotDrift) {
+  // A point where class 0 underflows leaves no log-odds to check a cached
+  // model against: a nearby request misses instead of hitting, and a drift
+  // check there falls through to the miss without reporting drift. Every
+  // answer is still the saturated path's exact extraction.
+  LinearPlm plm(SaturatingModel());
+  api::PredictionApi api(&plm);
+  EngineConfig config;
+  config.num_threads = 1;
+  config.drift_check_interval = 1;  // every memo hit pays the pair
+  InterpretationEngine engine(config);
+  auto session = engine.OpenSession(api);
+  Vec nudged = SaturatedAnchor();
+  nudged[1] += 1e-9;
+  const std::vector<Vec> points = {SaturatedAnchor(), nudged,
+                                   SaturatedAnchor()};
+  for (size_t i = 0; i < points.size(); ++i) {
+    auto response = session->Interpret({points[i], 2}, /*seed=*/76, i);
+    ASSERT_TRUE(response.result.ok())
+        << "request " << i << ": " << response.result.status().ToString();
+    EXPECT_EQ(response.cache_outcome, CacheOutcome::kMiss) << "request " << i;
+    EXPECT_LT(linalg::L1Distance(response.result->dc,
+                                 api::GroundTruthDecisionFeatures(
+                                     plm.model(), 2)),
+              1e-6)
+        << "request " << i;
+  }
+  EngineStats stats = session->stats();
+  EXPECT_EQ(stats.drift_events, 0u);
+  EXPECT_EQ(session->drift_epoch(), 0u);
+  EXPECT_EQ(stats.queries, api.query_count());
+}
+
 TEST(SaturationRegressionTest, SubnormalProbabilityAlsoTakesRecoveryPath) {
   // A subnormal y0[0] (here ~1e-318: logit gap ~ -733, above the exp
   // underflow cutoff but below DBL_MIN) is just as unshrinkable as an

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <future>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "interpret/interpretation_engine.h"
 #include "lmt/lmt.h"
 #include "nn/plnn.h"
+#include "util/string_util.h"
 
 namespace openapi::interpret {
 namespace {
@@ -695,6 +697,71 @@ TEST(SessionStreamTest, YieldsEveryEnvelopeExactlyOnce) {
   EXPECT_EQ(reported, api.query_count());
   EXPECT_EQ(session->stats().queries, api.query_count());
 }
+
+// ---------------------------------------------------------------------------
+// Confident endpoints
+// ---------------------------------------------------------------------------
+
+/// (d, s): a Plnn {d, 2d, d, 10} whose inputs are scaled by s. At
+/// s = 100 the endpoint is confident: p_max is within ~1e-9 of 1 and the
+/// other nine probabilities sit far below 1e-9, so a probability-space
+/// hit test cannot tell two regions with the same argmax apart.
+class ConfidentEndpointTest
+    : public ::testing::TestWithParam<std::tuple<size_t, double>> {};
+
+TEST_P(ConfidentEndpointTest, EveryServedAnswerIsTheWhiteBoxTruth) {
+  const auto [d, s] = GetParam();
+  util::Rng init_rng(64);
+  nn::Plnn net({d, 2 * d, d, 10}, &init_rng);
+  api::PredictionApi api(&net);
+  InterpretationEngine engine(EngineConfig{});
+  auto session = engine.OpenSession(api);
+
+  // 2000 requests in a +-5% box around one anchor, classes cycling: many
+  // requests share a region, and many neighbouring regions share an
+  // argmax, so most requests are served from the RAM cache.
+  util::Rng rng(65);
+  const Vec anchor = rng.UniformVector(d, 0.2, 0.8);
+  std::vector<EngineRequest> requests;
+  requests.reserve(2000);
+  for (size_t i = 0; i < 2000; ++i) {
+    Vec x(d);
+    for (size_t j = 0; j < d; ++j) {
+      x[j] = s * anchor[j] * (1.0 + rng.Uniform(-0.05, 0.05));
+    }
+    requests.push_back({std::move(x), i % 10});
+  }
+  const std::vector<EngineResponse> responses =
+      session->InterpretAll(requests, /*seed=*/66);
+
+  size_t served = 0;
+  size_t ram_hits = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (!responses[i].result.ok()) continue;
+    ++served;
+    ram_hits += responses[i].cache_outcome == CacheOutcome::kMemoryHit;
+    const Vec truth = api::GroundTruthDecisionFeatures(
+        net.LocalModelAt(requests[i].x0), requests[i].c);
+    EXPECT_LE(eval::L1Dist(net, requests[i].x0, requests[i].c,
+                           responses[i].result->dc),
+              1e-6 * (1.0 + linalg::Norm1(truth)))
+        << "request " << i << " ("
+        << CacheOutcomeName(responses[i].cache_outcome) << ")";
+  }
+  // The legs must exercise the hit path, or they prove nothing.
+  EXPECT_GT(served, requests.size() / 2);
+  EXPECT_GT(ram_hits, served / 4);
+  EXPECT_EQ(session->stats().queries, api.query_count());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ScaledPlnn, ConfidentEndpointTest,
+    ::testing::Combine(::testing::Values<size_t>(8, 16),
+                       ::testing::Values(1.0, 100.0)),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, double>>& info) {
+      return util::StrFormat("d%zu_s%d", std::get<0>(info.param),
+                             static_cast<int>(std::get<1>(info.param)));
+    });
 
 }  // namespace
 }  // namespace openapi::interpret
