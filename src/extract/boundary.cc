@@ -23,18 +23,16 @@ Result<BoundaryProbeResult> ProbeBoundary(
   if (linalg::Norm2(direction) == 0.0) {
     return Status::InvalidArgument("direction must be non-zero");
   }
-  const uint64_t queries_before = api.query_count();
   BoundaryProbeResult result;
 
-  auto at = [&](double t) {
+  // Counts the probe's own queries, one per match: the endpoint's shared
+  // query_count() would also bill (and budget) a concurrent caller's.
+  auto matches = [&](double t) {
     linalg::Vec x = x0;
     linalg::Axpy(t, direction, &x);
-    return x;
+    ++result.queries;
+    return MatchesLocalModel(api, model, x);
   };
-  auto matches = [&](double t) {
-    return MatchesLocalModel(api, model, at(t));
-  };
-  auto spent = [&]() { return api.query_count() - queries_before; };
 
   if (!matches(0.0)) {
     return Status::InvalidArgument(
@@ -46,7 +44,7 @@ Result<BoundaryProbeResult> ProbeBoundary(
   double hi = std::min(config.max_distance, 1e-3 * config.max_distance);
   if (hi <= 0.0) hi = config.max_distance;
   bool bracketed = false;
-  while (spent() < config.max_queries) {
+  while (result.queries < config.max_queries) {
     if (!matches(hi)) {
       bracketed = true;
       break;
@@ -58,12 +56,12 @@ Result<BoundaryProbeResult> ProbeBoundary(
   if (!bracketed) {
     result.found = false;
     result.inside_distance = lo;
-    result.queries = spent();
     return result;
   }
 
   // Bisection inside (lo, hi].
-  while (hi - lo > config.distance_tol && spent() < config.max_queries) {
+  while (hi - lo > config.distance_tol &&
+         result.queries < config.max_queries) {
     double mid = 0.5 * (lo + hi);
     if (matches(mid)) {
       lo = mid;
@@ -74,7 +72,6 @@ Result<BoundaryProbeResult> ProbeBoundary(
   result.found = true;
   result.inside_distance = lo;
   result.outside_distance = hi;
-  result.queries = spent();
   return result;
 }
 

@@ -24,6 +24,14 @@ struct BoundaryProbeConfig {
   size_t max_queries = 200;     // API query budget for one probe
 };
 
+/// [inside_distance, outside_distance] brackets the t where the match
+/// predicate flips, which is not exactly the region boundary t*. Past t*
+/// the endpoint's logit gaps leave the model's at a finite slope, and
+/// the predicate accepts gaps within kDefaultMatchTol * (1 + |L|), so the
+/// flip can lie up to about kDefaultMatchTol * (1 + |L|) /
+/// |d(logit gap)/dt| beyond t* (6.6e-8 observed at d = 16 on inputs
+/// scaled by 100, inside a bracket 1e-9 wide). outside - inside is the
+/// bisection width, not the boundary's precision.
 struct BoundaryProbeResult {
   /// True if a boundary was found within max_distance.
   bool found = false;
@@ -32,7 +40,8 @@ struct BoundaryProbeResult {
   /// Smallest examined t that no longer matches (upper bound); only
   /// meaningful when found.
   double outside_distance = 0.0;
-  /// API queries consumed.
+  /// API queries the probe spent: one per match evaluated, whatever
+  /// else the endpoint serves meanwhile.
   uint64_t queries = 0;
 };
 

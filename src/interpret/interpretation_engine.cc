@@ -70,6 +70,21 @@ std::vector<CoreParameters> PairsFromModel(const api::LocalLinearModel& model,
   return pairs;
 }
 
+/// The region-log record of one region with learned box [lo, hi]
+/// (RegionStore::Put stamps its epoch).
+store::RegionRecord RecordOf(const api::LocalLinearModel& model,
+                             uint64_t fingerprint, const Vec& anchor,
+                             size_t argmax, Vec lo, Vec hi) {
+  store::RegionRecord record;
+  record.fingerprint = fingerprint;
+  record.argmax = static_cast<uint32_t>(argmax);
+  record.anchor = anchor;
+  record.lo = std::move(lo);
+  record.hi = std::move(hi);
+  record.model = model;
+  return record;
+}
+
 /// The answer a cache hit serves for class c, read off the cached model.
 /// A hit validated by the 2-query pair carries its probe; a plain
 /// point-memo hit (probe == nullptr) cost nothing.
@@ -263,20 +278,11 @@ EndpointSession::FindMatchingRegion(const ValidationPair& pair) const {
   // with the exact predicate. Boxes only cover what traffic has
   // certified, so they can admit a false candidate (validation rejects
   // it) but a validated candidate is always a hit the linear scan would
-  // also have found. The argmax(y0) forest is stabbed AND validated
-  // first: in the common case the query predicts its region's own
-  // class, so the steady-state hit never pays for the other C-1
-  // forests. Validation is exact either way, so phase order only moves
-  // work, never the outcome.
+  // also have found.
   std::vector<size_t> candidates;
-  index_.CollectBucket(pair.x0, pair.argmax(), &candidates);
+  index_.Collect(pair.x0, &candidates);
   for (size_t slot : candidates) {
     if (auto hit = match(slot, regions_[slot])) return hit;
-  }
-  const size_t first_phase = candidates.size();
-  index_.CollectRest(pair.x0, pair.argmax(), &candidates);
-  for (size_t i = first_phase; i < candidates.size(); ++i) {
-    if (auto hit = match(candidates[i], regions_[candidates[i]])) return hit;
   }
   // No candidate survived. A learned box UNDER-covers its region until
   // traffic teaches it, so this is not yet a miss: scan the remaining
@@ -347,15 +353,12 @@ size_t EndpointSession::EvictOneLocked(
   // write-through persisted, and the store's Put re-appends only when
   // the box actually grew. The record is staged; the caller persists it
   // after releasing the cache lock (the store has its own mutex).
-  if (store_ != nullptr && spills != nullptr) {
-    store::RegionRecord record;
-    if (index_.ExportBox(slot, &record.lo, &record.hi)) {
-      record.fingerprint = victim_fingerprint;
-      record.argmax = static_cast<uint32_t>(victim.argmax);
-      record.anchor = victim.anchor;
-      record.model = victim.model;
-      spills->push_back(std::move(record));
-    }
+  Vec lo, hi;
+  if (store_ != nullptr && spills != nullptr &&
+      index_.ExportBox(slot, &lo, &hi)) {
+    spills->push_back(RecordOf(victim.model, victim_fingerprint,
+                               victim.anchor, victim.argmax, std::move(lo),
+                               std::move(hi)));
   }
   BumpGauge(&EngineStats::region_bytes,
             -static_cast<int64_t>(SlotBytes(victim)));
@@ -449,9 +452,6 @@ size_t EndpointSession::InsertRegion(
       *outcome = CacheOutcome::kEvictedRefetch;
     }
   }
-  // Idempotent: a region spanning a class boundary gains a forest per
-  // class it has been inserted or hit under.
-  index_.File(slot, argmax);
   FilePointLocked(PointKeyOf(memo_point), slot);
   RefreshIndexBytesLocked();
   EnforceByteBudgetLocked(slot, spills);
@@ -462,37 +462,16 @@ size_t EndpointSession::InsertRegion(
   return slot;
 }
 
-void EndpointSession::WriteThrough(const api::LocalLinearModel& model,
-                                   uint64_t fingerprint, const Vec& anchor,
-                                   size_t argmax, const Vec& lo,
-                                   const Vec& hi) const {
-  if (store_ == nullptr) return;
-  store::RegionRecord record;
-  record.fingerprint = fingerprint;
-  record.argmax = static_cast<uint32_t>(argmax);
-  record.anchor = anchor;
-  record.lo = lo;
-  record.hi = hi;
-  record.model = model;
-  Result<bool> appended = store_->Put(record);
-  if (!appended.ok()) {
-    // Persistence is best-effort from the serving path's point of view:
-    // a full disk degrades the session to RAM-only, it does not fail
-    // requests.
-    OPENAPI_LOG(Warning) << "region write-through failed: "
-                         << appended.status().message();
-  } else if (*appended) {
-    Bump(&EngineStats::store_appends);
-  }
-}
-
 void EndpointSession::PersistSpills(
     std::vector<store::RegionRecord>* spills) const {
   if (store_ != nullptr) {
     for (const store::RegionRecord& record : *spills) {
       Result<bool> appended = store_->Put(record);
       if (!appended.ok()) {
-        OPENAPI_LOG(Warning) << "eviction spill persist failed: "
+        // Persistence is best-effort from the serving path's point of
+        // view: a full disk degrades the session to RAM-only, it does
+        // not fail requests.
+        OPENAPI_LOG(Warning) << "region log append failed: "
                              << appended.status().message();
       } else if (*appended) {
         Bump(&EngineStats::store_appends);
@@ -562,8 +541,12 @@ Result<size_t> EndpointSession::ImportRegion(api::LocalLinearModel model,
     lo[j] -= edge_length;
     hi[j] += edge_length;
   }
-  WriteThrough(model, fingerprint, anchor, argmax, lo, hi);
+  // The write-through record is staged ahead of any spill the insert
+  // evicts, so the log receives them in that order.
   std::vector<store::RegionRecord> spills;
+  if (store_ != nullptr) {
+    spills.push_back(RecordOf(model, fingerprint, anchor, argmax, lo, hi));
+  }
   const size_t slot =
       InsertRegion(std::move(model), fingerprint, anchor, anchor, argmax, lo,
                    hi, /*outcome=*/nullptr, &spills);
@@ -670,11 +653,10 @@ Result<Interpretation> EndpointSession::InterpretCached(
   if (std::optional<RegionMatch> hit = FindMatchingRegion(validation)) {
     {
       // Memoize the point and teach the learned box: grow it to cover
-      // x0, and file the slot under this argmax too when the region
-      // spans the decision boundary, so the next nearby request
-      // resolves in the index stab instead of the fallback scan. The
-      // occupancy and fingerprint checks keep a slot that a racing
-      // eviction or ClearCache emptied or refilled out of the memo.
+      // x0, so the next nearby request resolves in the index stab
+      // instead of the fallback scan. The occupancy and fingerprint
+      // checks keep a slot that a racing eviction or ClearCache emptied
+      // or refilled out of the memo.
       util::WriterMutexLock lock(cache_mutex_);
       const size_t slot = hit->slot;
       if (slot < regions_.size() && regions_[slot].occupied &&
@@ -682,7 +664,6 @@ Result<Interpretation> EndpointSession::InterpretCached(
         FilePointLocked(key, slot);
         regions_[slot].hits.fetch_add(1, std::memory_order_relaxed);
         index_.Expand(slot, x0);
-        index_.File(slot, argmax);
         // The memo and the box grew: keep the byte ceiling while
         // protecting the slot just served.
         RefreshIndexBytesLocked();
@@ -759,7 +740,9 @@ Result<Interpretation> EndpointSession::InterpretCached(
     lo[j] -= solved->edge_length;
     hi[j] += solved->edge_length;
   }
-  WriteThrough(model, fingerprint, x0, argmax, lo, hi);
+  if (store_ != nullptr) {
+    spills.push_back(RecordOf(model, fingerprint, x0, argmax, lo, hi));
+  }
   // A drift refetch keeps its kStaleRefetch classification: the
   // invalidation cleared the eviction history anyway, and an eviction
   // refetch label would hide the drift event from the caller.

@@ -88,7 +88,8 @@
 //     deduplicates regions extracted concurrently by different workers;
 //   * the REGION INDEX (region_index.h), the one candidate search:
 //     hierarchical point location over learned per-region bounding boxes,
-//     one forest per predicted class. A request at a new x0 stabs the
+//     one forest for every region, whatever class it predicts (a region
+//     is identified by its local model). A request at a new x0 stabs the
 //     boxes in O(log n)-ish time, validates the few candidates exactly,
 //     and only when none survives falls back to a full scan of the cache
 //     (then GROWS the matched region's box, so repeat traffic stays
@@ -552,7 +553,7 @@ class EndpointSession
     bool ExplainedBy(const api::LocalLinearModel& model) const;
     /// False when a class underflows at either point: nothing validates.
     bool usable() const { return at_x0.usable && at_probe.usable; }
-    size_t argmax() const { return at_x0.argmax; }  // forest stabbed first
+    size_t argmax() const { return at_x0.argmax; }
 
     const Vec& x0;
     const Vec& probe;
@@ -580,10 +581,10 @@ class EndpointSession
 
   /// Inserts `model` (deduplicating by fingerprint; evicting at count
   /// capacity or byte budget), memoizes memo_point -> slot, and files the
-  /// slot into the region index under class `argmax` with initial box
-  /// [lo, hi] (a fingerprint-deduplicated re-insert unions its box into
-  /// the existing one instead). `anchor`
-  /// is the point the region is certified to contain — equal to
+  /// slot into the region index with initial box [lo, hi] (a
+  /// fingerprint-deduplicated re-insert unions its box into the existing
+  /// one instead). `argmax` is kept for the slot's eviction spill record.
+  /// `anchor` is the point the region is certified to contain — equal to
   /// memo_point on extraction/import, the persisted anchor on a disk
   /// reload. Exclusive (writer) lock. Flips *outcome to kEvictedRefetch
   /// when the fingerprint matches a region this session evicted earlier.
@@ -611,15 +612,13 @@ class EndpointSession
                        std::vector<store::RegionRecord>* spills) const
       EXCLUDES(cache_mutex_);
 
-  /// Write-through: persists one region (by value parts) to the attached
-  /// store, bumping store_appends when bytes were actually appended.
-  /// No-op without a store. Never called with the cache lock held.
-  void WriteThrough(const api::LocalLinearModel& model, uint64_t fingerprint,
-                    const Vec& anchor, size_t argmax, const Vec& lo,
-                    const Vec& hi) const EXCLUDES(cache_mutex_);
-
-  /// Persists the eviction spill records collected under the writer lock
-  /// (grown learned boxes going back to the log), then clears the vector.
+  /// The session's one store-write path: Puts the staged records in
+  /// order — a new region's write-through record first, then the
+  /// eviction spills collected under the writer lock (grown learned
+  /// boxes going back to the log) — bumping store_appends for each one
+  /// that appended bytes, then clears the vector. A failed Put is logged
+  /// and skipped (the session degrades to RAM-only). Never called with
+  /// the cache lock held.
   void PersistSpills(std::vector<store::RegionRecord>* spills) const
       EXCLUDES(cache_mutex_);
 
@@ -694,10 +693,10 @@ class EndpointSession
   /// emptied) and absent from every auxiliary structure.
   mutable std::vector<size_t> free_slots_ GUARDED_BY(cache_mutex_);
   /// Hierarchical point-location index over the learned per-region
-  /// bounding boxes: every occupied slot, filed under each class it has
-  /// served. RegionIndex has no locks of its own and shares cache_mutex_
-  /// — Collect* run under the reader lock (no interior mutation), every
-  /// mutator under the writer lock.
+  /// bounding boxes: every occupied slot, filed once. RegionIndex has no
+  /// locks of its own and shares cache_mutex_ — Collect runs under the
+  /// reader lock (no interior mutation), every mutator under the writer
+  /// lock.
   mutable RegionIndex index_ GUARDED_BY(cache_mutex_);
 
   /// Current drift epoch; newly inserted regions are tagged with it.

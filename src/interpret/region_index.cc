@@ -9,12 +9,13 @@ namespace {
 
 constexpr int32_t kNoNode = -1;
 
+/// Region batch size held by one k-d leaf.
+constexpr size_t kLeafCapacity = 8;
+
 }  // namespace
 
-RegionIndex::RegionIndex(size_t dim, size_t leaf_capacity)
-    : dim_(dim), leaf_capacity_(leaf_capacity) {
+RegionIndex::RegionIndex(size_t dim) : dim_(dim) {
   OPENAPI_CHECK_GT(dim_, 0u);
-  OPENAPI_CHECK_GT(leaf_capacity_, 0u);
 }
 
 bool RegionIndex::BoxContains(const double* lo, const double* hi,
@@ -41,56 +42,39 @@ void RegionIndex::Insert(size_t slot, const Vec& lo, const Vec& hi) {
     entries_.resize(slot + 1);
     entry_bounds_.resize((slot + 1) * 2 * dim_);
   }
-  Entry& entry = entries_[slot];
   std::copy(lo.begin(), lo.end(), EntryLo(slot));
   std::copy(hi.begin(), hi.end(), EntryHi(slot));
-  entry.locations.clear();
-  entry.present = true;
   ++live_;
-}
-
-void RegionIndex::File(size_t slot, size_t bucket) {
-  OPENAPI_CHECK(contains(slot));
-  Entry& entry = entries_[slot];
-  for (const Location& loc : entry.locations) {
-    if (loc.bucket == bucket) return;  // idempotent
-  }
-  InsertIntoForest(bucket, slot);
+  InsertIntoForest(slot);
 }
 
 void RegionIndex::Remove(size_t slot) {
   OPENAPI_CHECK(contains(slot));
+  // Detach from the leaf first; a rebuild below re-derives the entries
+  // of the OTHER slots, so this one must already be gone from the tree.
   Entry& entry = entries_[slot];
-  // Detach from every leaf first; rebuilds below re-derive locations for
-  // OTHER slots, so this entry must already be gone from the trees.
-  std::vector<Location> locations = std::move(entry.locations);
-  entry.locations.clear();
-  entry.present = false;
+  Tree* tree = entry.tree;
+  Node& leaf = tree->nodes[entry.leaf];
+  entry = Entry{};
   --live_;
-  for (const Location& loc : locations) {
-    Tree* tree = loc.tree;
-    Node& leaf = tree->nodes[loc.node];
-    auto it = std::find(leaf.slots.begin(), leaf.slots.end(),
-                        static_cast<uint32_t>(slot));
-    OPENAPI_CHECK(it != leaf.slots.end());
-    leaf.slots.erase(it);
-    --tree->live;
-    Forest& forest = forests_[loc.bucket];
-    auto owner = std::find_if(
-        forest.begin(), forest.end(),
-        [tree](const std::unique_ptr<Tree>& t) { return t.get() == tree; });
-    OPENAPI_CHECK(owner != forest.end());
-    if (tree->live == 0) {
-      forest.erase(owner);
-    } else if (tree->live * 2 < tree->built) {
-      // Over half the built slots are gone: rebuild compactly so stale
-      // bounds and empty leaves cannot accumulate (amortized O(log n)
-      // per removal — a slot is rebuilt only after as many removals).
-      std::vector<uint32_t> survivors;
-      AppendLiveSlots(*tree, &survivors);
-      *owner = BuildTree(loc.bucket, std::move(survivors));
-    }
-    if (forest.empty()) forests_.erase(loc.bucket);
+  auto it = std::find(leaf.slots.begin(), leaf.slots.end(),
+                      static_cast<uint32_t>(slot));
+  OPENAPI_CHECK(it != leaf.slots.end());
+  leaf.slots.erase(it);
+  --tree->live;
+  auto owner = std::find_if(
+      forest_.begin(), forest_.end(),
+      [tree](const std::unique_ptr<Tree>& t) { return t.get() == tree; });
+  OPENAPI_CHECK(owner != forest_.end());
+  if (tree->live == 0) {
+    forest_.erase(owner);
+  } else if (tree->live * 2 < tree->built) {
+    // Over half the built slots are gone: rebuild compactly so stale
+    // bounds and empty leaves cannot accumulate (amortized O(log n) per
+    // removal — a slot is rebuilt only after as many removals).
+    std::vector<uint32_t> survivors;
+    AppendLiveSlots(*tree, &survivors);
+    *owner = BuildTree(std::move(survivors));
   }
 }
 
@@ -99,17 +83,15 @@ void RegionIndex::Expand(size_t slot, const Vec& x) { Expand(slot, x, x); }
 void RegionIndex::Expand(size_t slot, const Vec& lo, const Vec& hi) {
   OPENAPI_CHECK(contains(slot));
   OPENAPI_CHECK_EQ(lo.size(), dim_);
-  Entry& entry = entries_[slot];
   ExpandBox(EntryLo(slot), EntryHi(slot), lo.data(), hi.data());
-  for (const Location& loc : entry.locations) {
-    RefitUp(loc.tree, loc.node, EntryLo(slot), EntryHi(slot));
-  }
+  const Entry& entry = entries_[slot];
+  RefitUp(entry.tree, entry.leaf, EntryLo(slot), EntryHi(slot));
 }
 
 void RegionIndex::Clear() {
   entries_.clear();
   entry_bounds_.clear();
-  forests_.clear();
+  forest_.clear();
   live_ = 0;
 }
 
@@ -120,47 +102,47 @@ void RegionIndex::AppendLiveSlots(const Tree& tree,
   }
 }
 
-void RegionIndex::InsertIntoForest(size_t bucket, size_t slot) {
-  Forest& forest = forests_[bucket];
-  forest.push_back(BuildTree(bucket, {static_cast<uint32_t>(slot)}));
+void RegionIndex::InsertIntoForest(size_t slot) {
+  forest_.push_back(BuildTree({static_cast<uint32_t>(slot)}));
   // Binary-counter merge: combining trees of comparable size keeps every
   // slot's lifetime rebuild count logarithmic and the forest at O(log n)
   // trees, independent of insertion order.
-  while (forest.size() >= 2 &&
-         forest[forest.size() - 2]->live <= forest.back()->live) {
+  while (forest_.size() >= 2 &&
+         forest_[forest_.size() - 2]->live <= forest_.back()->live) {
     std::vector<uint32_t> merged;
-    AppendLiveSlots(*forest[forest.size() - 2], &merged);
-    AppendLiveSlots(*forest.back(), &merged);
-    forest.pop_back();
-    forest.pop_back();
-    forest.push_back(BuildTree(bucket, std::move(merged)));
+    AppendLiveSlots(*forest_[forest_.size() - 2], &merged);
+    AppendLiveSlots(*forest_.back(), &merged);
+    forest_.pop_back();
+    forest_.pop_back();
+    forest_.push_back(BuildTree(std::move(merged)));
   }
 }
 
 std::unique_ptr<RegionIndex::Tree> RegionIndex::BuildTree(
-    size_t bucket, std::vector<uint32_t> slots) {
+    std::vector<uint32_t> slots) {
   OPENAPI_CHECK(!slots.empty());
   auto tree = std::make_unique<Tree>();
   tree->live = tree->built = slots.size();
   // Worst-case node count of the median split: one leaf per
-  // ceil(n / leaf_capacity) plus internals — reserve so node pointers
+  // ceil(n / kLeafCapacity) plus internals — reserve so node pointers
   // handed to BuildNode's recursion stay valid (indices are used, but
   // reserving avoids reallocation churn).
-  const size_t cap = 2 * (slots.size() / leaf_capacity_ + 2);
+  const size_t cap = 2 * (slots.size() / kLeafCapacity + 2);
   tree->nodes.reserve(cap);
   tree->bounds.reserve(cap * 2 * dim_);
-  BuildNode(tree.get(), bucket, slots.data(), slots.size(), kNoNode);
+  BuildNode(tree.get(), slots.data(), slots.size(), kNoNode);
   return tree;
 }
 
-int32_t RegionIndex::BuildNode(Tree* tree, size_t bucket, uint32_t* slots,
-                               size_t count, int32_t parent) {
+int32_t RegionIndex::BuildNode(Tree* tree, uint32_t* slots, size_t count,
+                               int32_t parent) {
   const int32_t id = static_cast<int32_t>(tree->nodes.size());
   tree->nodes.emplace_back();
   tree->nodes[id].parent = parent;
   tree->bounds.resize((static_cast<size_t>(id) + 1) * 2 * dim_);
-  {
-    // Bound of everything below this node (expand-only afterwards).
+  // A node's bound covers everything below it (expand-only afterwards):
+  // a leaf's its slots' boxes, an internal node's its two children's.
+  if (count <= kLeafCapacity) {
     double* lo = NodeLo(tree, id, dim_);
     double* hi = lo + dim_;
     std::copy(EntryLo(slots[0]), EntryLo(slots[0]) + dim_, lo);
@@ -168,25 +150,8 @@ int32_t RegionIndex::BuildNode(Tree* tree, size_t bucket, uint32_t* slots,
     for (size_t i = 1; i < count; ++i) {
       ExpandBox(lo, hi, EntryLo(slots[i]), EntryHi(slots[i]));
     }
-  }
-  if (count <= leaf_capacity_) {
-    Node& node = tree->nodes[id];
-    node.slots.assign(slots, slots + count);
-    for (size_t i = 0; i < count; ++i) {
-      // A merge or rebuild re-files slots that already carry a location
-      // for this bucket (pointing at the tree being replaced): overwrite
-      // it in place rather than appending a duplicate.
-      std::vector<Location>& locations = entries_[slots[i]].locations;
-      auto it = std::find_if(
-          locations.begin(), locations.end(),
-          [bucket](const Location& loc) { return loc.bucket == bucket; });
-      if (it != locations.end()) {
-        it->tree = tree;
-        it->node = id;
-      } else {
-        locations.push_back(Location{bucket, tree, id});
-      }
-    }
+    tree->nodes[id].slots.assign(slots, slots + count);
+    for (size_t i = 0; i < count; ++i) entries_[slots[i]] = Entry{tree, id};
     return id;
   }
   // Median split on the dimension with the widest spread of box centers:
@@ -216,12 +181,16 @@ int32_t RegionIndex::BuildNode(Tree* tree, size_t bucket, uint32_t* slots,
                      if (ca != cb) return ca < cb;
                      return a < b;  // deterministic tie-break
                    });
-  const int32_t left = BuildNode(tree, bucket, slots, mid, id);
-  const int32_t right =
-      BuildNode(tree, bucket, slots + mid, count - mid, id);
+  const int32_t left = BuildNode(tree, slots, mid, id);
+  const int32_t right = BuildNode(tree, slots + mid, count - mid, id);
   Node& node = tree->nodes[id];
   node.left = left;
   node.right = right;
+  double* lo = NodeLo(tree, id, dim_);
+  std::copy(NodeLo(tree, left, dim_), NodeLo(tree, left, dim_) + 2 * dim_,
+            lo);
+  const double* right_lo = NodeLo(tree, right, dim_);
+  ExpandBox(lo, lo + dim_, right_lo, right_lo + dim_);
   return id;
 }
 
@@ -249,142 +218,100 @@ void RegionIndex::RefitUp(Tree* tree, int32_t node, const double* lo,
 }
 
 void RegionIndex::StabTree(const Tree& tree, const Vec& x,
+                           std::vector<int32_t>* pending,
                            std::vector<size_t>* out) const {
-  // Explicit stack: depth is logarithmic for balanced trees, but the
-  // candidate walk should not gamble the C++ stack on it.
-  std::vector<int32_t> pending;
-  pending.push_back(0);
-  while (!pending.empty()) {
-    const int32_t id = pending.back();
-    pending.pop_back();
+  pending->push_back(0);
+  while (!pending->empty()) {
+    const int32_t id = pending->back();
+    pending->pop_back();
     const double* nlo =
         tree.bounds.data() + static_cast<size_t>(id) * 2 * dim_;
     if (!BoxContains(nlo, nlo + dim_, x)) continue;
     const Node& node = tree.nodes[id];
     if (node.left == kNoNode) {
       for (uint32_t slot : node.slots) {
-        if (!BoxContains(EntryLo(slot), EntryHi(slot), x)) continue;
-        // Dedup across forests (a boundary-spanning region is filed under
-        // several buckets). Candidate sets are tiny; linear is fine.
-        if (std::find(out->begin(), out->end(), static_cast<size_t>(slot)) ==
-            out->end()) {
-          out->push_back(static_cast<size_t>(slot));
-        }
+        if (BoxContains(EntryLo(slot), EntryHi(slot), x)) out->push_back(slot);
       }
       continue;
     }
-    pending.push_back(node.left);
-    pending.push_back(node.right);
+    pending->push_back(node.left);
+    pending->push_back(node.right);
   }
 }
 
-void RegionIndex::Collect(const Vec& x, size_t first_bucket,
-                          std::vector<size_t>* out) const {
-  CollectBucket(x, first_bucket, out);
-  CollectRest(x, first_bucket, out);
-}
-
-void RegionIndex::CollectBucket(const Vec& x, size_t bucket,
-                                std::vector<size_t>* out) const {
+void RegionIndex::Collect(const Vec& x, std::vector<size_t>* out) const {
   OPENAPI_CHECK_EQ(x.size(), dim_);
-  auto it = forests_.find(bucket);
-  if (it == forests_.end()) return;
-  for (const auto& tree : it->second) StabTree(*tree, x, out);
+  // One explicit stack for every tree's walk: depth is logarithmic for
+  // balanced trees, but the walk should not gamble the C++ stack on it.
+  std::vector<int32_t> pending;
+  for (const auto& tree : forest_) StabTree(*tree, x, &pending, out);
 }
 
-void RegionIndex::CollectRest(const Vec& x, size_t exclude_bucket,
-                              std::vector<size_t>* out) const {
-  OPENAPI_CHECK_EQ(x.size(), dim_);
-  for (const auto& [bucket, forest] : forests_) {
-    if (bucket == exclude_bucket) continue;
-    for (const auto& tree : forest) StabTree(*tree, x, out);
-  }
-}
-
-size_t RegionIndex::tree_count() const {
-  size_t count = 0;
-  for (const auto& [bucket, forest] : forests_) count += forest.size();
-  return count;
-}
+size_t RegionIndex::tree_count() const { return forest_.size(); }
 
 size_t RegionIndex::node_count() const {
   size_t count = 0;
-  for (const auto& [bucket, forest] : forests_) {
-    for (const auto& tree : forest) count += tree->nodes.size();
-  }
+  for (const auto& tree : forest_) count += tree->nodes.size();
   return count;
 }
 
 void RegionIndex::CheckConsistent() const {
-  // Every present entry is reachable exactly once per filed bucket, and
-  // its location points at the leaf actually holding it.
+  // Every present entry points at the leaf actually holding it, once.
   size_t present = 0;
   for (size_t slot = 0; slot < entries_.size(); ++slot) {
     const Entry& entry = entries_[slot];
-    if (!entry.present) {
-      OPENAPI_CHECK(entry.locations.empty());
+    if (entry.tree == nullptr) {
+      OPENAPI_CHECK_EQ(entry.leaf, kNoNode);
       continue;
     }
     ++present;
-    for (const Location& loc : entry.locations) {
-      const Node& leaf = loc.tree->nodes[loc.node];
-      OPENAPI_CHECK(leaf.left == kNoNode);
-      OPENAPI_CHECK(std::count(leaf.slots.begin(), leaf.slots.end(),
-                               static_cast<uint32_t>(slot)) == 1);
-      // No duplicate bucket filings.
-      OPENAPI_CHECK(std::count_if(entry.locations.begin(),
-                                  entry.locations.end(),
-                                  [&loc](const Location& other) {
-                                    return other.bucket == loc.bucket;
-                                  }) == 1);
-    }
+    const Node& leaf = entry.tree->nodes[entry.leaf];
+    OPENAPI_CHECK(leaf.left == kNoNode);
+    OPENAPI_CHECK(std::count(leaf.slots.begin(), leaf.slots.end(),
+                             static_cast<uint32_t>(slot)) == 1);
   }
   OPENAPI_CHECK_EQ(present, live_);
-  for (const auto& [bucket, forest] : forests_) {
-    OPENAPI_CHECK(!forest.empty());
-    for (const auto& tree : forest) {
-      size_t stored = 0;
-      OPENAPI_CHECK_EQ(tree->bounds.size(), tree->nodes.size() * 2 * dim_);
-      for (size_t id = 0; id < tree->nodes.size(); ++id) {
-        const Node& node = tree->nodes[id];
-        const double* nlo = tree->bounds.data() + id * 2 * dim_;
-        const double* nhi = nlo + dim_;
-        if (node.left == kNoNode) {
-          OPENAPI_CHECK(node.right == kNoNode);
-          stored += node.slots.size();
-          for (uint32_t slot : node.slots) {
-            const Entry& entry = entries_[slot];
-            OPENAPI_CHECK(entry.present);
-            // Node bounds cover their payload (stab soundness).
-            for (size_t j = 0; j < dim_; ++j) {
-              OPENAPI_CHECK_LE(nlo[j], EntryLo(slot)[j]);
-              OPENAPI_CHECK_GE(nhi[j], EntryHi(slot)[j]);
-            }
-            const bool located = std::any_of(
-                entry.locations.begin(), entry.locations.end(),
-                [&](const Location& loc) {
-                  return loc.bucket == bucket && loc.tree == tree.get() &&
-                         loc.node == static_cast<int32_t>(id);
-                });
-            OPENAPI_CHECK(located);
+  size_t stored_total = 0;
+  for (const auto& tree : forest_) {
+    size_t stored = 0;
+    OPENAPI_CHECK_EQ(tree->bounds.size(), tree->nodes.size() * 2 * dim_);
+    for (size_t id = 0; id < tree->nodes.size(); ++id) {
+      const Node& node = tree->nodes[id];
+      const double* nlo = tree->bounds.data() + id * 2 * dim_;
+      const double* nhi = nlo + dim_;
+      if (node.left == kNoNode) {
+        OPENAPI_CHECK(node.right == kNoNode);
+        stored += node.slots.size();
+        for (uint32_t slot : node.slots) {
+          const Entry& entry = entries_[slot];
+          OPENAPI_CHECK(entry.tree == tree.get());
+          OPENAPI_CHECK_EQ(entry.leaf, static_cast<int32_t>(id));
+          // Node bounds cover their payload (stab soundness).
+          for (size_t j = 0; j < dim_; ++j) {
+            OPENAPI_CHECK_LE(nlo[j], EntryLo(slot)[j]);
+            OPENAPI_CHECK_GE(nhi[j], EntryHi(slot)[j]);
           }
-        } else {
-          for (int32_t child : {node.left, node.right}) {
-            const Node& c = tree->nodes[child];
-            const double* clo =
-                tree->bounds.data() + static_cast<size_t>(child) * 2 * dim_;
-            OPENAPI_CHECK_EQ(c.parent, static_cast<int32_t>(id));
-            for (size_t j = 0; j < dim_; ++j) {
-              OPENAPI_CHECK_LE(nlo[j], clo[j]);
-              OPENAPI_CHECK_GE(nhi[j], clo[dim_ + j]);
-            }
+        }
+      } else {
+        for (int32_t child : {node.left, node.right}) {
+          const Node& c = tree->nodes[child];
+          const double* clo =
+              tree->bounds.data() + static_cast<size_t>(child) * 2 * dim_;
+          OPENAPI_CHECK_EQ(c.parent, static_cast<int32_t>(id));
+          for (size_t j = 0; j < dim_; ++j) {
+            OPENAPI_CHECK_LE(nlo[j], clo[j]);
+            OPENAPI_CHECK_GE(nhi[j], clo[dim_ + j]);
           }
         }
       }
-      OPENAPI_CHECK_EQ(stored, tree->live);
-      OPENAPI_CHECK_LE(tree->live, tree->built);
     }
+    OPENAPI_CHECK_EQ(stored, tree->live);
+    OPENAPI_CHECK_LE(tree->live, tree->built);
+    stored_total += stored;
   }
+  // Every stored slot is a present entry's leaf, so the leaves hold
+  // exactly the present slots.
+  OPENAPI_CHECK_EQ(stored_total, live_);
 }
 
 }  // namespace openapi::interpret

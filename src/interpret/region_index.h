@@ -34,23 +34,21 @@
 //
 // ## Structure
 //
-// Top level: one FOREST per predicted class. Regions are filed under the
-// class they predict at their anchor; a query stabs the forest matching
-// argmax(y0) first — the one that almost always holds the answer — then
-// the remaining forests (the class count is a small constant; a region
-// spanning the decision boundary is filed under every class it has
-// served).
+// One forest for the whole cache. A region is identified by its local
+// model, not by the class it predicts (the predicted class varies inside
+// a region), so there is no per-class partition: every slot is filed
+// once, in the leaf of exactly one tree, and a query stabs every tree.
 //
-// Within a forest: Bentley's logarithmic method. Incremental k-d
+// The forest follows Bentley's logarithmic method. Incremental k-d
 // insertion degrades to a linear spine under sorted insertion orders —
-// exactly what a bulk import or a sweep-shaped audit produces — so each
+// exactly what a bulk import or a sweep-shaped audit produces — so the
 // forest is a set of PERFECTLY BALANCED static k-d trees with
 // power-of-two-ish sizes, merged binary-counter style: an insert appends
 // a singleton tree, then merges the trailing trees while the penultimate
 // is no larger than the last, rebuilding the union as one median-split
 // balanced tree (leaves hold small region batches). Every region takes
 // part in O(log n) rebuilds over its lifetime (amortized O(log n) per
-// insert, insertion-order-independent), a forest holds O(log n) trees,
+// insert, insertion-order-independent), the forest holds O(log n) trees,
 // and a stabbing query descends only subtrees whose bound contains the
 // query point: O(log^2 n) node visits worst case, a few hundred at
 // 10^6 regions where the linear scan evaluates 10^6 models.
@@ -78,7 +76,6 @@
 #define OPENAPI_INTERPRET_REGION_INDEX_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -90,22 +87,17 @@ using linalg::Vec;
 
 class RegionIndex {
  public:
-  /// `dim` is the input dimensionality of the boxes; `leaf_capacity` the
-  /// region batch size held by one k-d leaf.
-  explicit RegionIndex(size_t dim, size_t leaf_capacity = 8);
+  /// `dim` is the input dimensionality of the boxes.
+  explicit RegionIndex(size_t dim);
 
   RegionIndex(const RegionIndex&) = delete;
   RegionIndex& operator=(const RegionIndex&) = delete;
 
-  /// Registers `slot` with learned box [lo, hi] (componentwise). The slot
-  /// is not yet filed under any class forest — call File next; Collect
-  /// cannot return an unfiled slot. `slot` must not be present.
+  /// Files `slot` with learned box [lo, hi] (componentwise); Collect
+  /// returns it from now on. `slot` must not be present.
   void Insert(size_t slot, const Vec& lo, const Vec& hi);
 
-  /// Files a present slot under class forest `bucket` (idempotent).
-  void File(size_t slot, size_t bucket);
-
-  /// Removes a present slot from every forest it is filed under.
+  /// Removes a present slot from its leaf.
   void Remove(size_t slot);
 
   /// Grows slot's box to cover x (monotone; ancestors refit expand-only).
@@ -124,7 +116,7 @@ class RegionIndex {
   size_t size() const { return live_; }
 
   bool contains(size_t slot) const {
-    return slot < entries_.size() && entries_[slot].present;
+    return slot < entries_.size() && entries_[slot].tree != nullptr;
   }
 
   size_t dim() const { return dim_; }
@@ -142,49 +134,37 @@ class RegionIndex {
   }
 
   /// Approximate resident bytes: per-slot entries + learned boxes + every
-  /// tree's node/bound storage. O(trees) = O(C log n), cheap enough to
+  /// tree's node/bound storage. O(trees) = O(log n), cheap enough to
   /// refresh after each writer-lock mutation (the session mirrors it into
   /// the EngineStats::index_bytes gauge); per-leaf slot vectors are
   /// estimated from live counts rather than walked.
   size_t memory_bytes() const {
     size_t bytes = entries_.capacity() * sizeof(Entry) +
                    entry_bounds_.capacity() * sizeof(double);
-    for (const auto& [bucket, forest] : forests_) {
-      for (const auto& tree : forest) {
-        bytes += sizeof(Tree) + tree->nodes.capacity() * sizeof(Node) +
-                 tree->bounds.capacity() * sizeof(double) +
-                 tree->live * (sizeof(uint32_t) + sizeof(Location));
-      }
+    for (const auto& tree : forest_) {
+      bytes += sizeof(Tree) + tree->nodes.capacity() * sizeof(Node) +
+               tree->bounds.capacity() * sizeof(double) +
+               tree->live * sizeof(uint32_t);
     }
     return bytes;
   }
 
-  /// Appends the slots whose learned box contains x, deduplicated, the
-  /// forest filed under `first_bucket` first, then the remaining forests
-  /// in ascending bucket order. Read-only (safe under a shared lock).
-  /// The result is a conservative candidate set: a slot whose box has not
-  /// yet learned to cover x is NOT returned — the caller's exact-scan
-  /// fallback covers that case and teaches the box.
-  void Collect(const Vec& x, size_t first_bucket,
-               std::vector<size_t>* out) const;
-
-  /// The two phases of Collect, split so the caller can validate the
-  /// `first_bucket` candidates (the common hit: the query predicts the
-  /// region's own argmax) before paying for the other C-1 forests.
-  /// CollectRest deduplicates against whatever is already in `out`.
-  void CollectBucket(const Vec& x, size_t bucket,
-                     std::vector<size_t>* out) const;
-  void CollectRest(const Vec& x, size_t exclude_bucket,
-                   std::vector<size_t>* out) const;
+  /// Appends the slots whose learned box contains x, each once (a slot
+  /// sits in exactly one leaf), in a deterministic tree-by-tree order.
+  /// Read-only (safe under a shared lock). The result is a conservative
+  /// candidate set: a slot whose box has not yet learned to cover x is
+  /// NOT returned — the caller's exact-scan fallback covers that case
+  /// and teaches the box.
+  void Collect(const Vec& x, std::vector<size_t>* out) const;
 
   /// O(n) structural audit for tests: every present slot reachable from
-  /// exactly one leaf per filed bucket, node bounds containing their
-  /// subtree, tree live counts exact. Aborts via OPENAPI_CHECK on any
-  /// violation.
+  /// exactly the one leaf its entry points at, node bounds containing
+  /// their subtree, tree live counts exact. Aborts via OPENAPI_CHECK on
+  /// any violation.
   void CheckConsistent() const;
 
-  /// Diagnostics: number of balanced trees across all forests, and the
-  /// total node count (tests assert the logarithmic-method shape).
+  /// Diagnostics: number of balanced trees in the forest, and the total
+  /// node count (tests assert the logarithmic-method shape).
   size_t tree_count() const;
   size_t node_count() const;
 
@@ -209,19 +189,12 @@ class RegionIndex {
     size_t built = 0;            // slots at the last (re)build
   };
 
-  /// Where one slot lives inside one forest.
-  struct Location {
-    size_t bucket = 0;
-    Tree* tree = nullptr;
-    int32_t node = -1;
-  };
-
+  /// Where one slot lives: its tree and leaf. A null tree marks an
+  /// absent slot.
   struct Entry {
-    std::vector<Location> locations;  // one per filed bucket
-    bool present = false;
+    Tree* tree = nullptr;
+    int32_t leaf = -1;
   };
-
-  using Forest = std::vector<std::unique_ptr<Tree>>;
 
   // Flat-bounds accessors (the learned per-slot boxes live in
   // entry_bounds_, same layout as Tree::bounds).
@@ -242,17 +215,15 @@ class RegionIndex {
                  const double* add_hi) const;
 
   /// Builds a balanced tree over `slots` by recursive median split on the
-  /// widest center spread; fills each stored slot's Location for
-  /// `bucket`.
-  std::unique_ptr<Tree> BuildTree(size_t bucket,
-                                  std::vector<uint32_t> slots);
-  int32_t BuildNode(Tree* tree, size_t bucket, uint32_t* slots,
-                    size_t count, int32_t parent);
+  /// widest center spread; points each stored slot's Entry at its leaf.
+  std::unique_ptr<Tree> BuildTree(std::vector<uint32_t> slots);
+  int32_t BuildNode(Tree* tree, uint32_t* slots, size_t count,
+                    int32_t parent);
 
-  /// Appends a singleton tree for `slot` to `bucket`'s forest, then
-  /// restores the binary-counter shape (merge trailing trees while the
+  /// Appends a singleton tree for `slot` to the forest, then restores
+  /// the binary-counter shape (merge trailing trees while the
   /// penultimate is no larger than the last).
-  void InsertIntoForest(size_t bucket, size_t slot);
+  void InsertIntoForest(size_t slot);
 
   /// Collects the live slots of a tree (for merges and rebuilds).
   static void AppendLiveSlots(const Tree& tree, std::vector<uint32_t>* out);
@@ -262,15 +233,16 @@ class RegionIndex {
   void RefitUp(Tree* tree, int32_t node, const double* lo,
                const double* hi) const;
 
-  void StabTree(const Tree& tree, const Vec& x,
+  /// Appends tree's slots whose box contains x; `pending` is the
+  /// caller's (empty) depth-first stack, reused across trees.
+  void StabTree(const Tree& tree, const Vec& x, std::vector<int32_t>* pending,
                 std::vector<size_t>* out) const;
 
   const size_t dim_;
-  const size_t leaf_capacity_;
   size_t live_ = 0;
-  std::vector<Entry> entries_;         // indexed by slot
-  std::vector<double> entry_bounds_;   // slot -> flat learned box
-  std::map<size_t, Forest> forests_;  // ordered: deterministic scan order
+  std::vector<Entry> entries_;        // indexed by slot
+  std::vector<double> entry_bounds_;  // slot -> flat learned box
+  std::vector<std::unique_ptr<Tree>> forest_;
 };
 
 }  // namespace openapi::interpret

@@ -12,9 +12,8 @@
 // for the 2-query validation pair the request already paid, and installs
 // it — a kDiskHit, never a re-extraction.
 //
-// CollectCandidates mirrors the session's lookup heuristic: boxes whose
-// argmax partition matches the query's predicted class first, then the
-// rest. The scan is linear over entries (the directory cannot reuse
+// CollectCandidates returns the boxes whose argmax partition matches the
+// query's predicted class first, then the rest. The scan is linear over entries (the directory cannot reuse
 // interpret::RegionIndex without a dependency cycle, and it sits on the
 // RAM-miss path where one disk read follows anyway); the argmax partition
 // keeps the common case at ~1/C of the entries.

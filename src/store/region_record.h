@@ -6,8 +6,7 @@
 //   * the anchor the model was certified at (re-memoized on reload),
 //   * the learned bounding box [lo, hi] (seeds the region index and the
 //     directory's candidate stab),
-//   * the argmax class at the anchor (region-index forest + directory
-//     partition),
+//   * the argmax class at the anchor (directory partition),
 //   * the model fingerprint (the store's primary key; matches the
 //     session's LocalModelFingerprint, so RAM dedup and disk dedup agree).
 //

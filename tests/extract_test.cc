@@ -327,6 +327,55 @@ TEST(BoundaryTest, MatchesWhiteBoxBisectionOnConfidentEndpoint) {
   EXPECT_EQ(rays, 20u);
 }
 
+/// An endpoint shared with another client: every Predict first serves
+/// one query of someone else's traffic at an unrelated point.
+class SharedEndpointApi : public api::PredictionApi {
+ public:
+  using api::PredictionApi::PredictionApi;
+  Vec Predict(const Vec& x) const override {
+    (void)api::PredictionApi::Predict(Vec(x.size(), 0.0));
+    return api::PredictionApi::Predict(x);
+  }
+};
+
+TEST(BoundaryTest, CountsOnlyItsOwnQueriesOnASharedEndpoint) {
+  nn::Plnn net = MakeNet(11);
+  api::PredictionApi api(&net);
+  SharedEndpointApi shared(&net);
+  LocalModelExtractor extractor;
+  util::Rng rng(12);
+  for (int attempt = 0; attempt < 50; ++attempt) {
+    Vec x0 = rng.UniformVector(5, 0.3, 0.7);
+    Vec direction = rng.GaussianVector(5, 0, 1);
+    const double norm = linalg::Norm2(direction);
+    for (double& v : direction) v /= norm;
+    Vec far = x0;
+    linalg::Axpy(2.0, direction, &far);
+    if (net.RegionId(far) == net.RegionId(x0)) continue;
+    auto extracted = extractor.Extract(api, x0, &rng);
+    ASSERT_TRUE(extracted.ok());
+    BoundaryProbeConfig config;
+    auto plain = ProbeBoundary(api, extracted->model, x0, direction, config);
+    ASSERT_TRUE(plain.ok() && plain->found);
+    // The default budget, then one the plain probe uses up exactly: the
+    // other client's queries must neither be billed to the probe nor
+    // shorten its bisection.
+    for (uint64_t budget : {uint64_t{config.max_queries}, plain->queries}) {
+      config.max_queries = budget;
+      const uint64_t before = shared.query_count();
+      auto probe =
+          ProbeBoundary(shared, extracted->model, x0, direction, config);
+      ASSERT_TRUE(probe.ok() && probe->found);
+      EXPECT_EQ(probe->queries, plain->queries);
+      EXPECT_EQ(shared.query_count() - before, 2 * plain->queries);
+      EXPECT_EQ(probe->inside_distance, plain->inside_distance);
+      EXPECT_EQ(probe->outside_distance, plain->outside_distance);
+    }
+    return;
+  }
+  FAIL() << "no boundary-crossing ray found";
+}
+
 TEST(BoundaryTest, RejectsBadArguments) {
   nn::Plnn net = MakeNet(15);
   api::PredictionApi api(&net);

@@ -34,65 +34,24 @@ struct TestBox {
       : lo(Box(cx - r, cy - r)), hi(Box(cx + r, cy + r)) {}
 };
 
-TEST(RegionIndexTest, CollectReturnsOnlyFiledContainingBoxes) {
+TEST(RegionIndexTest, CollectReturnsOnlyContainingBoxes) {
   RegionIndex index(/*dim=*/2);
   TestBox a(0.25, 0.25, 0.1), b(0.75, 0.75, 0.1), c(0.25, 0.3, 0.2);
   index.Insert(0, a.lo, a.hi);
   index.Insert(1, b.lo, b.hi);
   index.Insert(2, c.lo, c.hi);
-  index.File(0, /*bucket=*/0);
-  index.File(1, /*bucket=*/1);
-  // Slot 2 stays unfiled: Collect must not return it even though its box
-  // contains the query point.
   std::vector<size_t> out;
-  index.Collect(Box(0.25, 0.25), /*first_bucket=*/0, &out);
-  EXPECT_EQ(out, std::vector<size_t>({0}));
-  index.File(2, /*bucket=*/0);
-  out.clear();
-  index.Collect(Box(0.25, 0.25), /*first_bucket=*/0, &out);
+  index.Collect(Box(0.25, 0.25), &out);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_TRUE(std::find(out.begin(), out.end(), 0) != out.end());
   EXPECT_TRUE(std::find(out.begin(), out.end(), 2) != out.end());
   out.clear();
-  index.Collect(Box(0.75, 0.75), /*first_bucket=*/0, &out);
+  index.Collect(Box(0.75, 0.75), &out);
   EXPECT_EQ(out, std::vector<size_t>({1}));
-  index.CheckConsistent();
-}
-
-TEST(RegionIndexTest, FirstBucketForestIsStabbedFirst) {
-  RegionIndex index(/*dim=*/2);
-  TestBox shared(0.5, 0.5, 0.4);
-  index.Insert(0, shared.lo, shared.hi);
-  index.Insert(1, shared.lo, shared.hi);
-  index.File(0, /*bucket=*/3);
-  index.File(1, /*bucket=*/1);
-  std::vector<size_t> out;
-  index.Collect(Box(0.5, 0.5), /*first_bucket=*/3, &out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], 0u);  // bucket 3's forest first
+  index.Remove(2);
   out.clear();
-  index.Collect(Box(0.5, 0.5), /*first_bucket=*/1, &out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], 1u);
-}
-
-TEST(RegionIndexTest, MultiBucketFilingDeduplicatesAndRemovesEverywhere) {
-  RegionIndex index(/*dim=*/2);
-  TestBox a(0.5, 0.5, 0.25);
-  index.Insert(7, a.lo, a.hi);
-  index.File(7, 0);
-  index.File(7, 2);
-  index.File(7, 0);  // idempotent refile
-  std::vector<size_t> out;
-  index.Collect(Box(0.5, 0.5), /*first_bucket=*/0, &out);
-  EXPECT_EQ(out, std::vector<size_t>({7}));  // deduplicated across forests
-  index.CheckConsistent();
-  index.Remove(7);
-  EXPECT_EQ(index.size(), 0u);
-  EXPECT_FALSE(index.contains(7));
-  out.clear();
-  index.Collect(Box(0.5, 0.5), /*first_bucket=*/2, &out);
-  EXPECT_TRUE(out.empty());
+  index.Collect(Box(0.25, 0.25), &out);
+  EXPECT_EQ(out, std::vector<size_t>({0}));
   index.CheckConsistent();
 }
 
@@ -103,23 +62,22 @@ TEST(RegionIndexTest, ExpandTeachesTheBoxAndRefitsAncestors) {
   for (size_t s = 0; s < 64; ++s) {
     TestBox b(0.1 + 0.01 * static_cast<double>(s), 0.2, 0.004);
     index.Insert(s, b.lo, b.hi);
-    index.File(s, 0);
   }
   Vec far = Box(0.9, 0.9);
   std::vector<size_t> out;
-  index.Collect(far, 0, &out);
+  index.Collect(far, &out);
   EXPECT_TRUE(out.empty());
   index.Expand(17, far);
   index.CheckConsistent();  // ancestor bounds must now cover the point
   out.clear();
-  index.Collect(far, 0, &out);
+  index.Collect(far, &out);
   EXPECT_EQ(out, std::vector<size_t>({17}));
   // Box-union expand: slot 3 absorbs a whole certificate elsewhere.
   TestBox cert(0.8, 0.1, 0.05);
   index.Expand(3, cert.lo, cert.hi);
   index.CheckConsistent();
   out.clear();
-  index.Collect(Box(0.82, 0.12), 0, &out);
+  index.Collect(Box(0.82, 0.12), &out);
   EXPECT_EQ(out, std::vector<size_t>({3}));
 }
 
@@ -133,18 +91,17 @@ TEST(RegionIndexTest, SortedBulkInsertKeepsLogarithmicShape) {
     const double cx = (static_cast<double>(s) + 0.5) / static_cast<double>(n);
     TestBox b(cx, 0.5, 0.4 / static_cast<double>(n));
     index.Insert(s, b.lo, b.hi);
-    index.File(s, s % 3);
   }
   index.CheckConsistent();
   EXPECT_EQ(index.size(), n);
-  // Binary-counter shape: at most ~log2(n) trees per forest, 3 forests.
-  EXPECT_LE(index.tree_count(), 3 * 11u);
+  // Binary-counter shape: at most ~log2(n) trees.
+  EXPECT_LE(index.tree_count(), 11u);
   // Every box is disjoint on dim 0, so each stab returns exactly its cell.
   std::vector<size_t> out;
   for (size_t s = 0; s < n; s += 37) {
     out.clear();
     const double cx = (static_cast<double>(s) + 0.5) / static_cast<double>(n);
-    index.Collect(Box(cx, 0.5), s % 3, &out);
+    index.Collect(Box(cx, 0.5), &out);
     EXPECT_EQ(out, std::vector<size_t>({s}));
   }
 }
@@ -155,7 +112,6 @@ TEST(RegionIndexTest, RemovalRebuildsSparseTreesAndClearResets) {
   for (size_t s = 0; s < n; ++s) {
     TestBox b(0.001 * static_cast<double>(s), 0.5, 0.0004);
     index.Insert(s, b.lo, b.hi);
-    index.File(s, 0);
   }
   const size_t nodes_full = index.node_count();
   for (size_t s = 0; s < n; ++s) {
@@ -166,27 +122,26 @@ TEST(RegionIndexTest, RemovalRebuildsSparseTreesAndClearResets) {
   // Sparse trees were rebuilt compactly: dead space is bounded.
   EXPECT_LT(index.node_count(), nodes_full);
   std::vector<size_t> out;
-  index.Collect(Box(0.001 * 64.0, 0.5), 0, &out);
+  index.Collect(Box(0.001 * 64.0, 0.5), &out);
   EXPECT_EQ(out, std::vector<size_t>({64}));
   index.Clear();
   EXPECT_EQ(index.size(), 0u);
   EXPECT_EQ(index.tree_count(), 0u);
   out.clear();
-  index.Collect(Box(0.001 * 64.0, 0.5), 0, &out);
+  index.Collect(Box(0.001 * 64.0, 0.5), &out);
   EXPECT_TRUE(out.empty());
   index.CheckConsistent();
 }
 
 TEST(RegionIndexTest, RandomizedOpsMatchBruteForceStab) {
-  // Drive the index with a random op stream (insert / remove / expand /
-  // re-file) and after every batch compare Collect against a brute-force
-  // scan of the shadow boxes.
+  // Drive the index with a random op stream (insert / remove / point
+  // expand / box-union expand) and after every batch compare Collect
+  // against a brute-force scan of the shadow boxes.
   util::Rng rng(2024);
   const size_t d = 3;
   RegionIndex index(d);
   struct Shadow {
     Vec lo, hi;
-    std::set<size_t> buckets;
     bool present = false;
   };
   std::vector<Shadow> shadow(512);
@@ -206,10 +161,7 @@ TEST(RegionIndexTest, RandomizedOpsMatchBruteForceStab) {
           s.hi[j] += r;
         }
         s.present = true;
-        const size_t bucket = static_cast<size_t>(rng.Uniform(0.0, 4.0));
-        s.buckets = {bucket};
         index.Insert(slot, s.lo, s.hi);
-        index.File(slot, bucket);
       } else if (roll < 0.65 && next_slot > 0) {
         const size_t slot =
             static_cast<size_t>(rng.Uniform(0.0, 1.0) *
@@ -236,9 +188,20 @@ TEST(RegionIndexTest, RandomizedOpsMatchBruteForceStab) {
             static_cast<size_t>(rng.Uniform(0.0, 1.0) *
                                 static_cast<double>(next_slot));
         if (shadow[slot].present) {
-          const size_t bucket = static_cast<size_t>(rng.Uniform(0.0, 4.0));
-          index.File(slot, bucket);
-          shadow[slot].buckets.insert(bucket);
+          // Box-union expand: a small certificate somewhere else.
+          Vec center = rng.UniformVector(d, 0.0, 1.0);
+          Vec lo = center;
+          Vec hi = center;
+          for (size_t j = 0; j < d; ++j) {
+            lo[j] -= 0.02;
+            hi[j] += 0.02;
+          }
+          index.Expand(slot, lo, hi);
+          Shadow& s = shadow[slot];
+          for (size_t j = 0; j < d; ++j) {
+            s.lo[j] = std::min(s.lo[j], lo[j]);
+            s.hi[j] = std::max(s.hi[j], hi[j]);
+          }
         }
       }
     }
@@ -249,13 +212,13 @@ TEST(RegionIndexTest, RandomizedOpsMatchBruteForceStab) {
     for (size_t q = 0; q < 8; ++q) {
       Vec x = rng.UniformVector(d, 0.0, 1.0);
       std::vector<size_t> got;
-      index.Collect(x, q % 4, &got);
+      index.Collect(x, &got);
       std::set<size_t> got_set(got.begin(), got.end());
       ASSERT_EQ(got_set.size(), got.size()) << "Collect returned dupes";
       std::set<size_t> want;
       for (size_t slot = 0; slot < next_slot; ++slot) {
         const Shadow& s = shadow[slot];
-        if (!s.present || s.buckets.empty()) continue;
+        if (!s.present) continue;
         bool inside = true;
         for (size_t j = 0; j < d; ++j) {
           inside = inside && s.lo[j] <= x[j] && x[j] <= s.hi[j];

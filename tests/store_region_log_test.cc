@@ -2,7 +2,7 @@
 // fresh log opens empty, reopen replays the append order, and crash
 // recovery truncates at the first torn or corrupt frame — keeping the
 // intact prefix, reporting the dropped byte count, and leaving the file
-// appendable again.
+// appendable again. RegionDirectory: the reload candidate order.
 
 #include "store/region_log.h"
 
@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "store/region_directory.h"
 #include "store/region_record.h"
 #include "util/file_io.h"
 
@@ -320,6 +321,38 @@ TEST(RegionLogTest, ReadAtRejectsBogusOffsets) {
   EXPECT_FALSE((*log)->ReadAt(*offset + 100 * 1000).ok());
   // The real offset still reads fine afterwards.
   EXPECT_TRUE((*log)->ReadAt(*offset).ok());
+}
+
+TEST(RegionDirectoryTest, FirstArgmaxOffsetsComeFirstAndStaleEpochsAreSkipped) {
+  RegionDirectory directory(/*dim=*/2);
+  const Vec unit_lo{0.0, 0.0}, unit_hi{1.0, 1.0};
+  // Overlapping boxes around (0.5, 0.5) with mixed anchor argmax.
+  directory.Put(/*fingerprint=*/1, /*offset=*/100, /*argmax=*/1, unit_lo,
+                unit_hi, /*epoch=*/1);
+  directory.Put(2, 200, 0, unit_lo, unit_hi, 1);
+  directory.Put(3, 300, 1, Vec{0.4, 0.4}, Vec{0.6, 0.6}, 1);
+  directory.Put(4, 400, 2, unit_lo, unit_hi, /*epoch=*/0);  // stale
+  directory.Put(5, 500, 0, Vec{2.0, 2.0}, Vec{3.0, 3.0}, 1);  // elsewhere
+  directory.Put(6, 600, 2, unit_lo, unit_hi, 1);
+  const Vec x{0.5, 0.5};
+  auto collect = [&](size_t first_argmax, uint32_t min_epoch) {
+    std::vector<uint64_t> offsets{7};  // appended after existing content
+    directory.CollectCandidates(x, first_argmax, &offsets, min_epoch);
+    return offsets;
+  };
+  // Matching-argmax entries first, then the other partitions in
+  // ascending argmax order, each in entry order.
+  EXPECT_EQ(collect(1, 1), (std::vector<uint64_t>{7, 100, 300, 200, 600}));
+  EXPECT_EQ(collect(0, 1), (std::vector<uint64_t>{7, 200, 100, 300, 600}));
+  EXPECT_EQ(collect(2, 1), (std::vector<uint64_t>{7, 600, 200, 100, 300}));
+  EXPECT_EQ(collect(2, 0),
+            (std::vector<uint64_t>{7, 400, 600, 200, 100, 300}));
+  EXPECT_EQ(collect(9, 1), (std::vector<uint64_t>{7, 200, 100, 300, 600}));
+  // A refresh repoints the offset and raises the epoch; the entry keeps
+  // its first argmax partition.
+  directory.Put(4, 450, 1, unit_lo, unit_hi, 1);
+  EXPECT_EQ(collect(1, 1),
+            (std::vector<uint64_t>{7, 100, 300, 200, 450, 600}));
 }
 
 }  // namespace
