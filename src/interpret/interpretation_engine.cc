@@ -559,8 +559,8 @@ Result<size_t> EndpointSession::ImportRegion(api::LocalLinearModel model,
 }
 
 Result<Interpretation> EndpointSession::InterpretCached(
-    const Vec& x0, size_t c, const RequestOptions& options, util::Rng* rng,
-    RequestCost* cost, CacheOutcome* outcome) const {
+    const Vec& x0, size_t c, const RequestOptions& options,
+    uint64_t rng_seed, RequestCost* cost, CacheOutcome* outcome) const {
   const EngineConfig& config = engine_->config();
   // 1. Point memo: an exact repeat of a previously answered x0 (any class)
   //    costs zero API queries — except every drift_check_interval-th memo
@@ -604,8 +604,11 @@ Result<Interpretation> EndpointSession::InterpretCached(
   //    chunk.
   OPENAPI_RETURN_NOT_OK(EnforceRequestOptions(
       options, cost->queries, 2, 2.0 * EffectiveRowLatency(*api_)));
+  // The request's generator is first needed here, so a memo hit above
+  // never seeds one.
+  util::Rng rng(rng_seed);
   Vec probe =
-      SampleHypercube(x0, kValidationEdge, /*count=*/1, rng)[0];
+      SampleHypercube(x0, kValidationEdge, /*count=*/1, &rng)[0];
   // The pair goes through the retry-aware dispatch path, so a transient
   // endpoint refusal is retried under the request's retry budget instead
   // of failing the request, and refused-attempt charges land in *cost —
@@ -714,7 +717,7 @@ Result<Interpretation> EndpointSession::InterpretCached(
   // solver's scratch comes from the engine's workspace pool: every miss
   // after a worker's first runs allocation-free inside the solver.
   InterpretationEngine::WorkspaceLease lease(*engine_);
-  auto solved = interpreter.InterpretCounted(*api_, x0, 0, rng, cost,
+  auto solved = interpreter.InterpretCounted(*api_, x0, 0, &rng, cost,
                                              options, &y0, lease.get());
   if (!solved.ok()) {
     return solved.status();
@@ -769,9 +772,8 @@ Result<Interpretation> EndpointSession::Serve(
   // Pre-flight: a request that is already cancelled or past its deadline
   // is rejected before it touches the cache or the endpoint.
   OPENAPI_RETURN_NOT_OK(CheckRequestControls(request.options, 0, 0));
-  util::Rng rng(util::Rng::MixSeed(seed, stream));
-  return InterpretCached(request.x0, request.c, request.options, &rng, cost,
-                         outcome);
+  return InterpretCached(request.x0, request.c, request.options,
+                         util::Rng::MixSeed(seed, stream), cost, outcome);
 }
 
 EngineResponse EndpointSession::Interpret(const EngineRequest& request,

@@ -541,9 +541,11 @@ class EndpointSession
                                uint64_t stream, RequestCost* cost,
                                CacheOutcome* outcome) const;
 
+  /// `rng_seed` seeds the request's generator, built only once the
+  /// request gets past the point memo.
   Result<Interpretation> InterpretCached(const Vec& x0, size_t c,
                                          const RequestOptions& options,
-                                         util::Rng* rng, RequestCost* cost,
+                                         uint64_t rng_seed, RequestCost* cost,
                                          CacheOutcome* outcome) const;
 
   /// One request's 2-query validation pair, each answer observed once in

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -105,9 +106,12 @@ Status SendChunkWithRetry(const api::PredictionApi& api,
                           std::vector<Vec>* out) {
   const util::Clock* clock = util::EffectiveClock(options.clock);
   // Decorrelated-jitter stream, a pure function of (seed, position): a
-  // single-threaded run replays its backoff schedule bit-identically.
-  util::Rng jitter(util::Rng::MixSeed(
-      kJitterSeed, cost->queries ^ static_cast<uint64_t>(rows.size())));
+  // single-threaded run replays its backoff schedule bit-identically. The
+  // seed is fixed at chunk entry; the generator is built on the first
+  // refusal, so a chunk served at once never seeds it.
+  const uint64_t jitter_seed = util::Rng::MixSeed(
+      kJitterSeed, cost->queries ^ static_cast<uint64_t>(rows.size()));
+  std::optional<util::Rng> jitter;
   double prev_sleep = kInitialBackoffSeconds;
   for (size_t attempt = 0;; ++attempt) {
     uint64_t attempt_consumed = 0;
@@ -151,9 +155,10 @@ Status SendChunkWithRetry(const api::PredictionApi& api,
           static_cast<unsigned long long>(cost->queries),
           static_cast<unsigned long long>(cost->wasted_queries)));
     }
+    if (!jitter.has_value()) jitter.emplace(jitter_seed);
     const double sleep = std::min(
         kMaxBackoffSeconds,
-        jitter.Uniform(kInitialBackoffSeconds,
+        jitter->Uniform(kInitialBackoffSeconds,
                        std::max(kInitialBackoffSeconds, prev_sleep * 3.0)));
     prev_sleep = sleep;
     // Re-gate before sleeping: the backoff itself must not carry the

@@ -1,20 +1,54 @@
 #include "store/region_directory.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.h"
 
 namespace openapi::store {
+
+namespace {
+
+// The smallest fingerprint table; it doubles whenever an insert would
+// take it past half full.
+constexpr size_t kMinSlots = 16;
+// Fibonacci hashing: the top bits of fingerprint * 2^64/phi pick the
+// home slot, so fingerprints that differ only in high or low bits still
+// spread.
+constexpr uint64_t kFibonacciMultiplier = 0x9e3779b97f4a7c15ULL;
+
+}  // namespace
+
+RegionDirectory::RegionDirectory(size_t dim)
+    : dim_(dim), slots_(kMinSlots, 0) {}
+
+size_t RegionDirectory::SlotOf(uint64_t fingerprint) const {
+  const size_t mask = slots_.size() - 1;
+  const int shift = 64 - std::countr_zero(slots_.size());
+  for (size_t slot = (fingerprint * kFibonacciMultiplier) >> shift;;
+       slot = (slot + 1) & mask) {
+    const uint32_t held = slots_[slot];
+    if (held == 0 || entries_[held - 1].fingerprint == fingerprint) {
+      return slot;
+    }
+  }
+}
+
+void RegionDirectory::Rehash(size_t capacity) {
+  slots_.assign(capacity, 0);
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    slots_[SlotOf(entries_[i].fingerprint)] = static_cast<uint32_t>(i + 1);
+  }
+}
 
 void RegionDirectory::Put(uint64_t fingerprint, uint64_t offset,
                           uint32_t argmax, const Vec& lo, const Vec& hi,
                           uint32_t epoch) {
   OPENAPI_CHECK_EQ(lo.size(), dim_);
   OPENAPI_CHECK_EQ(hi.size(), dim_);
-  const auto [it, inserted] = by_fingerprint_.try_emplace(
-      fingerprint, static_cast<uint32_t>(entries_.size()));
-  if (!inserted) {
-    const size_t index = it->second;
+  size_t slot = SlotOf(fingerprint);
+  if (slots_[slot] != 0) {
+    const size_t index = slots_[slot] - 1;
     Entry& entry = entries_[index];
     entry.offset = offset;
     entry.epoch = std::max(entry.epoch, epoch);
@@ -30,7 +64,13 @@ void RegionDirectory::Put(uint64_t fingerprint, uint64_t offset,
     // CollectCandidates falls back to the other partitions anyway.
     return;
   }
-  by_class_[argmax].push_back(it->second);
+  if (2 * (entries_.size() + 1) > slots_.size()) {
+    Rehash(2 * slots_.size());
+    slot = SlotOf(fingerprint);
+  }
+  const auto index = static_cast<uint32_t>(entries_.size());
+  slots_[slot] = index + 1;
+  by_class_[argmax].push_back(index);
   entries_.push_back(Entry{fingerprint, offset, argmax, epoch});
   boxes_.insert(boxes_.end(), lo.begin(), lo.end());
   boxes_.insert(boxes_.end(), hi.begin(), hi.end());
@@ -39,17 +79,19 @@ void RegionDirectory::Put(uint64_t fingerprint, uint64_t offset,
 void RegionDirectory::Reserve(size_t entries) {
   entries_.reserve(entries);
   boxes_.reserve(entries * 2 * dim_);
-  by_fingerprint_.reserve(entries);
+  const size_t capacity = std::bit_ceil(std::max(kMinSlots, 2 * entries));
+  if (capacity > slots_.size()) Rehash(capacity);
 }
 
 bool RegionDirectory::Find(uint64_t fingerprint, Vec* lo, Vec* hi,
                            uint32_t* epoch) const {
-  auto it = by_fingerprint_.find(fingerprint);
-  if (it == by_fingerprint_.end()) return false;
-  const double* box_lo = boxes_.data() + it->second * 2 * dim_;
+  const uint32_t held = slots_[SlotOf(fingerprint)];
+  if (held == 0) return false;
+  const size_t index = held - 1;
+  const double* box_lo = boxes_.data() + index * 2 * dim_;
   lo->assign(box_lo, box_lo + dim_);
   hi->assign(box_lo + dim_, box_lo + 2 * dim_);
-  *epoch = entries_[it->second].epoch;
+  *epoch = entries_[index].epoch;
   return true;
 }
 

@@ -12,6 +12,14 @@
 // for the 2-query validation pair the request already paid, and installs
 // it — a kDiskHit, never a re-extraction.
 //
+// Fingerprints resolve through a flat open-addressing table of uint32_t
+// entry indices keyed through entries_[i].fingerprint: linear probing,
+// power-of-two capacity, grown at load 1/2. Entries are never deleted,
+// so the table needs no tombstones. Reserve (RegionStore::Open passes
+// the log's frame count) sizes it once, so a restart's replay inserts
+// every fingerprint without a rehash, at 4 bytes per slot (about 1 MB at
+// 10^5 regions) instead of one heap node per fingerprint.
+//
 // CollectCandidates returns the boxes whose argmax partition matches the
 // query's predicted class first, then the rest. The scan is linear over entries (the directory cannot reuse
 // interpret::RegionIndex without a dependency cycle, and it sits on the
@@ -25,7 +33,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "store/region_record.h"
@@ -34,7 +41,7 @@ namespace openapi::store {
 
 class RegionDirectory {
  public:
-  explicit RegionDirectory(size_t dim) : dim_(dim) {}
+  explicit RegionDirectory(size_t dim);
 
   /// Inserts or refreshes the entry for `fingerprint`: a new fingerprint
   /// gets a fresh entry; an existing one is repointed at `offset`, its
@@ -45,13 +52,13 @@ class RegionDirectory {
   void Put(uint64_t fingerprint, uint64_t offset, uint32_t argmax,
            const Vec& lo, const Vec& hi, uint32_t epoch = 0);
 
-  /// Pre-sizes the entry storage and fingerprint map for `entries`
+  /// Pre-sizes the entry storage and fingerprint table for `entries`
   /// distinct fingerprints (RegionStore::Open passes the log's frame
-  /// count, so replay does not regrow them).
+  /// count, so replay neither regrows nor rehashes them).
   void Reserve(size_t entries);
 
   bool Contains(uint64_t fingerprint) const {
-    return by_fingerprint_.count(fingerprint) > 0;
+    return slots_[SlotOf(fingerprint)] != 0;
   }
 
   /// Copies `fingerprint`'s box into *lo / *hi and its drift epoch into
@@ -78,6 +85,12 @@ class RegionDirectory {
     uint32_t epoch = 0;
   };
 
+  /// The slot holding `fingerprint`'s entry, or the empty slot where
+  /// it would go.
+  size_t SlotOf(uint64_t fingerprint) const;
+  /// Rebuilds the fingerprint table at `capacity` slots (a power of two).
+  void Rehash(size_t capacity);
+
   bool BoxContains(size_t entry_index, const Vec& x) const;
   void CollectPartition(const std::vector<uint32_t>& partition, const Vec& x,
                         uint32_t min_epoch,
@@ -87,7 +100,8 @@ class RegionDirectory {
   std::vector<Entry> entries_;
   /// entries_[i]'s box at boxes_[i * 2 * dim_]: lo, then hi.
   std::vector<double> boxes_;
-  std::unordered_map<uint64_t, uint32_t> by_fingerprint_;
+  /// Fingerprint table: entry index + 1 per slot, 0 for an empty slot.
+  std::vector<uint32_t> slots_;
   /// argmax -> entry indices; ordered so candidate order is deterministic.
   std::map<uint32_t, std::vector<uint32_t>> by_class_;
 };

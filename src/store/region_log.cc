@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "util/logging.h"
+#include "util/mutex.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -51,38 +52,101 @@ std::string EncodeHeader(size_t dim, size_t num_classes) {
   return header;
 }
 
+// One chunk read running on the shared pool while the caller checks and
+// replays the chunk before it. Destruction waits for the read, so an
+// early return never leaves it writing into a freed buffer or reading a
+// closed file.
+class ChunkPrefetch {
+ public:
+  ChunkPrefetch() = default;
+  ChunkPrefetch(const ChunkPrefetch&) = delete;
+  ChunkPrefetch& operator=(const ChunkPrefetch&) = delete;
+  ~ChunkPrefetch() { (void)Wait(); }
+
+  /// Reads `bytes` at `offset` of *file into *out on `pool`. At most one
+  /// read is in flight: call Wait() before starting the next.
+  void Start(util::ThreadPool* pool, const util::File* file, uint64_t offset,
+             size_t bytes, std::string* out) EXCLUDES(mutex_) {
+    {
+      util::MutexLock lock(mutex_);
+      pending_ = true;
+    }
+    pool->Submit([this, file, offset, bytes, out] {
+      Status status = file->ReadAt(offset, bytes, out);
+      util::MutexLock lock(mutex_);
+      status_ = std::move(status);
+      pending_ = false;
+      done_.NotifyAll();
+    });
+  }
+
+  /// Blocks until the last read started has finished and returns its
+  /// status (OK when none was started).
+  Status Wait() EXCLUDES(mutex_) {
+    util::MutexLock lock(mutex_);
+    while (pending_) done_.Wait(mutex_);
+    return status_;
+  }
+
+ private:
+  util::Mutex mutex_;
+  util::CondVar done_;
+  bool pending_ GUARDED_BY(mutex_) = false;
+  Status status_ GUARDED_BY(mutex_);
+};
+
 // Replays the frames behind the header of `file` (already validated,
 // `file_size` bytes long) and truncates the file at the first frame that
 // fails. Frames have a fixed size, so frame i starts at kHeaderSize +
 // i * frame_size and the file splits into chunks of whole frames (plus a
-// partial tail frame when a crash tore the last append). Each chunk is
-// read into one reused buffer, its frames are checked on the shared pool,
-// and the intact prefix is decoded into one reused record and handed to
-// `on_record` on this thread, in append order. The first frame that fails
-// marks the recovery point: everything before it is intact (each record
-// carries its own checksum); everything from it on is the torn tail a
-// crash mid-append (or bit rot) left behind.
+// partial tail frame when a crash tore the last append). Two chunk
+// buffers alternate: while the pool checks chunk k's frames and this
+// thread decodes its intact prefix into one reused record and hands it
+// to `on_record` in append order, a pool task reads chunk k+1 into the
+// other buffer. The first frame that fails marks the recovery point:
+// everything before it is intact (each record carries its own
+// checksum); everything from it on is the torn tail a crash mid-append
+// (or bit rot) left behind, and a chunk already read ahead past it is
+// discarded unchecked.
 Result<RegionLog::RecoveryStats> ReplayFrames(
     util::File* file, uint64_t file_size, size_t dim, size_t num_classes,
     const std::function<void(uint64_t, const RegionRecord&)>& on_record) {
   const size_t frame_size = RecordFrameSize(dim, num_classes);
   const size_t chunk_frames =
       std::max<size_t>(1, RegionLog::kReplayChunkBytes / frame_size);
+  const auto chunk_bytes = [&](uint64_t at) {
+    return static_cast<size_t>(
+        std::min<uint64_t>(file_size - at, chunk_frames * frame_size));
+  };
   util::ThreadPool* pool = util::SharedThreadPool();
-  std::string chunk;
+  // A worker must not wait on its own pool's queue (thread_pool.h), so on
+  // a worker each chunk is read, checked and replayed in turn.
+  const bool serial = pool->OnWorkerThread();
+  std::string chunks[2];
   std::vector<char> intact(chunk_frames);
   RegionRecord record;
   RegionLog::RecoveryStats recovery;
+  // Declared after the buffers it writes into, so it is destroyed (and
+  // waits for its read) before they are.
+  ChunkPrefetch prefetch;
   uint64_t offset = kHeaderSize;
+  size_t current = 0;
+  if (offset < file_size) {
+    OPENAPI_RETURN_NOT_OK(
+        file->ReadAt(offset, chunk_bytes(offset), &chunks[current]));
+  }
   while (offset < file_size) {
-    const size_t bytes = static_cast<size_t>(
-        std::min<uint64_t>(file_size - offset, chunk_frames * frame_size));
-    OPENAPI_RETURN_NOT_OK(file->ReadAt(offset, bytes, &chunk));
+    const std::string& chunk = chunks[current];
+    const size_t bytes = chunk.size();
+    const uint64_t next = offset + bytes;
+    if (!serial && next < file_size) {
+      prefetch.Start(pool, file, next, chunk_bytes(next),
+                     &chunks[current ^ 1]);
+    }
     // Only whole frames are checked: a partial one is never intact.
     const size_t frames = bytes / frame_size;
     const std::string_view whole(chunk.data(), frames * frame_size);
-    if (pool->OnWorkerThread()) {
-      // A worker must not wait on its own pool's queue (thread_pool.h).
+    if (serial) {
       CheckFrames(whole, dim, num_classes, intact.data());
     } else {
       const size_t blocks =
@@ -113,12 +177,21 @@ Result<RegionLog::RecoveryStats> ReplayFrames(
           << file->path() << ": dropping torn log tail (" << dropped
           << " bytes after " << recovery.records_recovered
           << " intact records): " << reason.ToString();
+      // The chunk read ahead lies past the recovery point: whatever it
+      // read, or failed to read, is dropped with the tail.
+      (void)prefetch.Wait();
       OPENAPI_RETURN_NOT_OK(file->Close());
       OPENAPI_RETURN_NOT_OK(util::TruncateFile(file->path(), offset));
       recovery.bytes_truncated = dropped;
       break;
     }
-    offset += bytes;
+    offset = next;
+    current ^= 1;
+    if (offset < file_size) {
+      OPENAPI_RETURN_NOT_OK(
+          serial ? file->ReadAt(offset, chunk_bytes(offset), &chunks[current])
+                 : prefetch.Wait());
+    }
   }
   return recovery;
 }

@@ -25,20 +25,25 @@
 // ## Recovery
 //
 // Open() streams the file once, front to back, in chunks of whole frames
-// (kReplayChunkBytes, so replay holds at most one chunk of the log in
-// memory whatever the log's size). Each chunk's frames are checked —
-// magic, payload size, checksum — in parallel on util::SharedThreadPool;
-// the file is TRUNCATED at the first frame that fails (torn tail from a
-// crash mid-append, or a checksum/magic/size mismatch from corruption),
-// dropping that record and everything after it, with a logged warning
+// (kReplayChunkBytes, so replay holds at most two chunks of the log in
+// memory whatever the log's size: the one being replayed and the one
+// being read ahead). Each chunk's frames are checked — magic, payload
+// size, checksum — in parallel on util::SharedThreadPool, while a pool
+// task reads the next chunk; the file is TRUNCATED at the first frame
+// that fails (torn tail from a crash mid-append, or a checksum/magic/size
+// mismatch from corruption), dropping that record and everything after
+// it (a chunk already read ahead past it included), with a logged warning
 // carrying the path, the byte count dropped, and the reason. The intact
 // prefix is replayed through the caller's callback, in append order on the
 // calling thread (RegionStore rebuilds its directory from it), so
-// recovery costs exactly one sequential read. A 0-byte file (a crash
-// before the header reached disk) opens as a fresh log. Any other header
-// that fails to validate is NOT silently rebuilt: the file is some other
-// endpoint's log (shape mismatch) or not a log at all, and writing to it
-// would destroy data the caller did not mean to touch.
+// recovery costs exactly one sequential read. Called from a worker of the
+// shared pool, Open reads, checks and replays each chunk in turn on that
+// worker instead, since a worker must not wait on its own pool. A 0-byte
+// file (a crash before the header reached disk) opens as a fresh log.
+// Any other header that fails to validate is NOT silently rebuilt: the
+// file is some other endpoint's log (shape mismatch) or not a log at
+// all, and writing to it would destroy data the caller did not mean to
+// touch.
 //
 // Not thread-safe: RegionStore serializes all access behind its mutex.
 

@@ -1,3 +1,4 @@
+// OPENAPI_TEST_LABELS: concurrent  (run under TSan in CI: ctest -L concurrent)
 // Exhaustive kill-point injection over the region log's crash recovery:
 // a log is truncated at EVERY byte offset within its final record (the
 // only record a crash mid-append can tear, since appends are sequential)

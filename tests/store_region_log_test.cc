@@ -1,21 +1,31 @@
+// OPENAPI_TEST_LABELS: concurrent  (run under TSan in CI: ctest -L concurrent)
 // RegionLog + RegionRecord: wire-format round-trips are bit-exact, a
 // fresh log opens empty, reopen replays the append order, and crash
 // recovery truncates at the first torn or corrupt frame — keeping the
 // intact prefix, reporting the dropped byte count, and leaving the file
-// appendable again. RegionDirectory: the reload candidate order.
+// appendable again — also when the log spans several replay chunks and
+// when recovery runs on a shared-pool worker. RegionDirectory: the
+// reload candidate order, and a randomized run against a std::map
+// oracle.
 
 #include "store/region_log.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <future>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "store/region_directory.h"
 #include "store/region_record.h"
+#include "store/region_store.h"
 #include "util/file_io.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace openapi::store {
 namespace {
@@ -253,6 +263,125 @@ TEST(RegionLogTest, CorruptChecksumDropsTheRecordAndEverythingAfter) {
   EXPECT_EQ(*size, kHeaderBytes + frame);
 }
 
+// What a RegionStore recovered from one log: its recovery stats, the
+// file it left, and its directory as seen through the store's surface.
+struct Recovered {
+  RegionLog::RecoveryStats stats;
+  uint64_t file_size = 0;
+  size_t entries = 0;
+  std::vector<char> contains;  // per probed fingerprint
+  std::vector<std::vector<uint64_t>> candidates;  // per probed point
+};
+
+Recovered RecoverStore(const std::string& path, size_t dim,
+                       size_t num_classes,
+                       const std::vector<uint64_t>& fingerprints,
+                       const std::vector<Vec>& points) {
+  Recovered out;
+  auto store = RegionStore::Open(path, dim, num_classes);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  if (!store.ok()) return out;
+  out.stats = (*store)->recovery_stats();
+  out.entries = (*store)->size();
+  for (uint64_t fingerprint : fingerprints) {
+    out.contains.push_back((*store)->Contains(fingerprint) ? 1 : 0);
+  }
+  for (const Vec& x : points) {
+    std::vector<uint64_t> offsets;
+    (*store)->CollectCandidates(x, /*first_argmax=*/1, &offsets);
+    out.candidates.push_back(std::move(offsets));
+  }
+  Result<uint64_t> size = util::FileSizeOf(path);
+  EXPECT_TRUE(size.ok());
+  out.file_size = size.ok() ? *size : 0;
+  return out;
+}
+
+TEST(RegionLogTest, CorruptFrameInTheSecondChunkTruncatesThereAcrossChunks) {
+  const std::string path = TempPath("chunks.rlog");
+  (void)util::RemoveFile(path);  // best-effort scratch cleanup
+  const size_t dim = 48, num_classes = 4;
+  const uint64_t frame = RecordFrameSize(dim, num_classes);
+  const size_t chunk_frames = RegionLog::kReplayChunkBytes / frame;
+  ASSERT_GE(chunk_frames, 3u);
+  // Three and a half chunks; the corrupt frame sits inside the second.
+  const size_t total = 3 * chunk_frames + chunk_frames / 2;
+  const size_t corrupt = chunk_frames + chunk_frames / 3;
+  // Every third record re-appends one of 40 fingerprints, so replay
+  // refreshes entries as well as adding them.
+  auto record_at = [&](size_t i) {
+    RegionRecord record = MakeRecord(dim, num_classes, i);
+    record.fingerprint = i % 3 == 0 ? 0x5eed0000 + (i / 3) % 40 : 0xf00d + i;
+    return record;
+  };
+  {
+    auto log = RegionLog::Open(path, dim, num_classes);
+    ASSERT_TRUE(log.ok());
+    for (size_t i = 0; i < total; ++i) {
+      ASSERT_TRUE((*log)->Append(record_at(i)).ok());
+    }
+    ASSERT_TRUE((*log)->Flush().ok());
+  }
+  Result<std::string> bytes = util::ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  ASSERT_EQ(bytes->size(), kHeaderBytes + total * frame);
+  std::string mutated = *bytes;
+  mutated[kHeaderBytes + corrupt * frame + frame / 2] ^= 0x40;
+
+  // The expected directory: the intact prefix, Put in append order.
+  RegionDirectory expected(dim);
+  std::vector<uint64_t> fingerprints;
+  std::vector<Vec> points;
+  for (size_t i = 0; i < total; ++i) {
+    const RegionRecord record = record_at(i);
+    fingerprints.push_back(record.fingerprint);
+    if (i % 97 == 0) points.push_back(record.anchor);
+    if (i < corrupt) {
+      expected.Put(record.fingerprint, kHeaderBytes + i * frame,
+                   record.argmax, record.lo, record.hi, record.epoch);
+    }
+  }
+  Recovered want;
+  want.stats.records_recovered = corrupt;
+  want.stats.bytes_truncated = (total - corrupt) * frame;
+  want.file_size = kHeaderBytes + corrupt * frame;
+  want.entries = expected.size();
+  for (uint64_t fingerprint : fingerprints) {
+    want.contains.push_back(expected.Contains(fingerprint) ? 1 : 0);
+  }
+  for (const Vec& x : points) {
+    std::vector<uint64_t> offsets;
+    expected.CollectCandidates(x, /*first_argmax=*/1, &offsets);
+    want.candidates.push_back(std::move(offsets));
+  }
+  auto expect_recovered = [&](const Recovered& got) {
+    EXPECT_EQ(got.stats.records_recovered, want.stats.records_recovered);
+    EXPECT_EQ(got.stats.bytes_truncated, want.stats.bytes_truncated);
+    EXPECT_EQ(got.file_size, want.file_size);
+    EXPECT_EQ(got.entries, want.entries);
+    EXPECT_EQ(got.contains, want.contains);
+    EXPECT_EQ(got.candidates, want.candidates);
+  };
+
+  // On the calling thread: chunks are read ahead while the pool checks.
+  ASSERT_TRUE(util::WriteStringToFile(path, mutated).ok());
+  expect_recovered(RecoverStore(path, dim, num_classes, fingerprints, points));
+
+  // On a shared-pool worker, which replays serially.
+  ASSERT_TRUE(util::WriteStringToFile(path, mutated).ok());
+  util::ThreadPool* pool = util::SharedThreadPool();
+  std::promise<std::pair<bool, Recovered>> on_worker;
+  pool->Submit([&] {
+    on_worker.set_value(
+        {pool->OnWorkerThread(),
+         RecoverStore(path, dim, num_classes, fingerprints, points)});
+  });
+  const std::pair<bool, Recovered> worker = on_worker.get_future().get();
+  EXPECT_TRUE(worker.first);
+  expect_recovered(worker.second);
+  (void)util::RemoveFile(path);  // best-effort scratch cleanup
+}
+
 TEST(RegionLogTest, HeaderMismatchRefusesToOpen) {
   const std::string path = TempPath("shape.rlog");
   (void)util::RemoveFile(path);  // best-effort scratch cleanup
@@ -353,6 +482,116 @@ TEST(RegionDirectoryTest, FirstArgmaxOffsetsComeFirstAndStaleEpochsAreSkipped) {
   directory.Put(4, 450, 1, unit_lo, unit_hi, 1);
   EXPECT_EQ(collect(1, 1),
             (std::vector<uint64_t>{7, 100, 300, 200, 450, 600}));
+}
+
+// A randomized run of ~20k Puts, ~30% of them on a fingerprint already
+// present, against a std::map oracle of the documented semantics: the
+// first Put of a fingerprint files it (offset, argmax, epoch, box) in
+// entry order; later Puts repoint the offset, union the box and raise the
+// epoch, keeping the first argmax.
+void CheckDirectoryAgainstOracle(size_t reserve) {
+  const size_t dim = 3, puts = 20000, classes = 5;
+  struct OracleEntry {
+    uint64_t offset = 0;
+    uint32_t argmax = 0;
+    uint32_t epoch = 0;
+    Vec lo, hi;
+  };
+  std::map<uint64_t, OracleEntry> oracle;
+  std::vector<uint64_t> entry_order;  // fingerprints by first Put
+  RegionDirectory directory(dim);
+  directory.Reserve(reserve);
+  util::Rng rng(reserve + 11);
+  for (size_t i = 0; i < puts; ++i) {
+    uint64_t fingerprint = 0;
+    if (!entry_order.empty() && rng.Flip(0.3)) {
+      fingerprint = entry_order[rng.Index(entry_order.size())];
+    } else if (rng.Flip(0.5)) {
+      fingerprint = rng.engine()();
+    } else {
+      // Low-entropy keys: strided high bits, the same low bits.
+      fingerprint = static_cast<uint64_t>(i) << 40;
+    }
+    const uint64_t offset = 32 + 1000 * i;
+    const auto argmax = static_cast<uint32_t>(rng.Index(classes));
+    const auto epoch = static_cast<uint32_t>(rng.Index(4));
+    Vec lo = rng.UniformVector(dim, -1.0, 1.0);
+    Vec hi = lo;
+    for (double& h : hi) h += rng.Uniform(0.0, 0.5);
+    directory.Put(fingerprint, offset, argmax, lo, hi, epoch);
+    auto [it, inserted] = oracle.try_emplace(fingerprint);
+    OracleEntry& entry = it->second;
+    entry.offset = offset;
+    if (inserted) {
+      entry_order.push_back(fingerprint);
+      entry.argmax = argmax;
+      entry.epoch = epoch;
+      entry.lo = lo;
+      entry.hi = hi;
+    } else {
+      entry.epoch = std::max(entry.epoch, epoch);
+      for (size_t j = 0; j < dim; ++j) {
+        entry.lo[j] = std::min(entry.lo[j], lo[j]);
+        entry.hi[j] = std::max(entry.hi[j], hi[j]);
+      }
+    }
+  }
+  ASSERT_GT(puts - oracle.size(), puts / 5);  // repeats were exercised
+  EXPECT_EQ(directory.size(), oracle.size());
+  for (const auto& [fingerprint, entry] : oracle) {
+    EXPECT_TRUE(directory.Contains(fingerprint));
+    Vec lo, hi;
+    uint32_t epoch = 99;
+    ASSERT_TRUE(directory.Find(fingerprint, &lo, &hi, &epoch));
+    EXPECT_EQ(lo, entry.lo);
+    EXPECT_EQ(hi, entry.hi);
+    EXPECT_EQ(epoch, entry.epoch);
+  }
+  for (size_t i = 0; i < 1000; ++i) {
+    const uint64_t absent = rng.engine()();
+    if (oracle.count(absent) > 0) continue;
+    EXPECT_FALSE(directory.Contains(absent));
+    Vec lo, hi;
+    uint32_t epoch = 0;
+    EXPECT_FALSE(directory.Find(absent, &lo, &hi, &epoch));
+  }
+  std::vector<const OracleEntry*> in_entry_order;
+  for (uint64_t fingerprint : entry_order) {
+    in_entry_order.push_back(&oracle.at(fingerprint));
+  }
+  for (size_t q = 0; q < 200; ++q) {
+    const Vec x = rng.UniformVector(dim, -1.0, 1.2);
+    const size_t first = rng.Index(classes + 1);  // classes: none match
+    const auto min_epoch = static_cast<uint32_t>(rng.Index(4));
+    // Matching-argmax entries first, then ascending argmax, each
+    // partition in entry order.
+    std::vector<uint64_t> want;
+    auto collect = [&](uint32_t argmax) {
+      for (const OracleEntry* entry : in_entry_order) {
+        if (entry->argmax != argmax || entry->epoch < min_epoch) continue;
+        bool inside = true;
+        for (size_t j = 0; j < dim; ++j) {
+          inside = inside && x[j] >= entry->lo[j] && x[j] <= entry->hi[j];
+        }
+        if (inside) want.push_back(entry->offset);
+      }
+    };
+    collect(static_cast<uint32_t>(first));
+    for (uint32_t argmax = 0; argmax < classes; ++argmax) {
+      if (argmax != first) collect(argmax);
+    }
+    std::vector<uint64_t> got;
+    directory.CollectCandidates(x, first, &got, min_epoch);
+    EXPECT_EQ(got, want) << "query " << q;
+  }
+}
+
+TEST(RegionDirectoryTest, RandomizedPutsMatchAMapOracleWhenReserved) {
+  CheckDirectoryAgainstOracle(/*reserve=*/20000);
+}
+
+TEST(RegionDirectoryTest, RandomizedPutsMatchAMapOracleWhileGrowing) {
+  CheckDirectoryAgainstOracle(/*reserve=*/0);
 }
 
 }  // namespace
